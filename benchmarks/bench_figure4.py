@@ -9,7 +9,7 @@ reduction.
 
 
 from repro.analysis.experiments import run_figure4
-from repro.core.search import EvoSearchConfig
+from repro.search import EvoSearchConfig
 
 
 def test_figure4_latency_energy_edp(benchmark):

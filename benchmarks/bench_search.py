@@ -8,7 +8,7 @@ does the evolutionary loop improve over (a) the best uniform design and
 import numpy as np
 import pytest
 
-from repro.core.search import (
+from repro.search import (
     EvoSearchConfig,
     build_candidate_grid,
     evaluate_assignment,

@@ -9,7 +9,7 @@ conftest).  The printed tables parallel the paper's Table 1 row for row.
 
 from repro.analysis.experiments import run_table1
 from repro.analysis.hardware import table1_hardware_rows
-from repro.core.search import EvoSearchConfig
+from repro.search import EvoSearchConfig
 
 
 def test_table1_resnet50_hardware(benchmark):

@@ -8,9 +8,9 @@
   models and shape-level PIM deployments (Fig. 2a's "Designer");
 - :mod:`repro.core.wrapping` — output channel wrapping (Eqs. 8-9);
 - :mod:`repro.core.equant` — epitome-aware quantization (Eqs. 4-5);
-- :mod:`repro.core.search` — shim onto :mod:`repro.search`, the
-  vectorized evolutionary layer-wise design (Alg. 1);
 - :mod:`repro.core.pipeline` — the end-to-end EPIM flow.
+
+The evolutionary layer-wise design (Alg. 1) lives in :mod:`repro.search`.
 """
 
 from .designer import (
@@ -36,15 +36,6 @@ from .equant import (
 from .export import export_manifest, manifest_summary, write_manifest
 from .layers import EpitomeConv2d, EpitomeLinear
 from .pipeline import EpimPipeline, EpimPipelineConfig, EpimResult
-from .search import (
-    DEFAULT_CANDIDATES,
-    CandidateGrid,
-    EvoSearchConfig,
-    SearchResult,
-    build_candidate_grid,
-    evaluate_assignment,
-    evolution_search,
-)
 from .wrapping import (
     WrappingSavings,
     verify_ofm_invariance,
@@ -80,13 +71,6 @@ __all__ = [
     "make_epitome_quant_hook",
     "apply_epitome_quantization",
     "remove_epitome_quantization",
-    "DEFAULT_CANDIDATES",
-    "CandidateGrid",
-    "build_candidate_grid",
-    "EvoSearchConfig",
-    "SearchResult",
-    "evolution_search",
-    "evaluate_assignment",
     "EpimPipeline",
     "EpimPipelineConfig",
     "EpimResult",

@@ -15,9 +15,6 @@
 - :mod:`repro.search.parallel` — the shared process-pool fan-out with
   order-preserving merge and SimCounters repatriation;
 - :mod:`repro.search.cli` — the ``python -m repro search`` subcommand.
-
-``repro.core.search`` re-exports this package's public API, so historical
-imports keep resolving.
 """
 
 from .grid import (

@@ -5,10 +5,12 @@ set ``C`` (``None`` keeps the conv layer as-is).  A layer's hardware cost
 (crossbars, latency, dynamic energy) depends only on its own deployment,
 so the whole space is captured by three ``(layers, candidates)`` lookup
 matrices.  A genome is then an integer index per layer, a population is an
-``(P, L)`` integer array, and scoring a generation is a gather plus a sum
-over the layer axis — no per-individual Python loop.
+``(P, L)`` integer array, and scoring a generation is one flat gather per
+matrix into an ``(L, P)`` array plus a sum over its layer axis — no
+per-individual Python loop.
 
-:func:`evaluate_population` accumulates the layer axis in layer order so
+:func:`evaluate_population` accumulates the layer axis sequentially, in
+layer order (row-by-row in-place adds, never a pairwise reduction), so
 its sums are *bit-for-bit identical* to the scalar
 :func:`evaluate_assignment` loop (same IEEE-754 operation sequence);
 reward orderings of the vectorized and scalar paths therefore agree
@@ -475,16 +477,24 @@ def evaluate_assignment(grid: CandidateGrid, genome: Sequence[Candidate],
                       energy_mj=dynamic_pj / 1e9 + static_mj)
 
 
+# Individuals scored per block: keeps each block's (L, block) gathers
+# cache-resident however large the population grows.
+_EVAL_BLOCK = 1024
+
+
 # reprolint: hot-loop -- vectorized evaluator (14-23x over scalar, PR 3)
 def evaluate_population(matrices: GridMatrices, genomes: np.ndarray,
                         lut: ComponentLUT = DEFAULT_LUT) -> PopulationEval:
     """Score a ``(P, L)`` index-array population in one pass.
 
-    The accumulation runs layer-by-layer (vectorized across the
-    population) in the same left-to-right order as the scalar
-    :func:`evaluate_assignment`, so every individual's totals match the
-    scalar path bit-for-bit — O(L) numpy gathers instead of O(P*L)
-    Python-level dict lookups.
+    One flat gather per lookup matrix yields an ``(L, P)`` array of
+    per-layer cells (row ``l`` holds layer ``l``'s cell for every
+    individual); the float cells are then added row by row, layer 0
+    first, onto zeroed totals.  That is the scalar
+    :func:`evaluate_assignment` loop's exact IEEE-754 operation
+    sequence, vectorized across the population, so every individual's
+    totals match it bit-for-bit.  (``np.add.reduce``/``.sum`` may add
+    pairwise and would not.)
     """
     genomes = np.asarray(genomes)
     if genomes.ndim != 2:
@@ -492,14 +502,23 @@ def evaluate_population(matrices: GridMatrices, genomes: np.ndarray,
     P, L = genomes.shape
     if L != matrices.num_layers:
         raise ValueError(f"genome length {L} != {matrices.num_layers} layers")
+    K = matrices.crossbars.shape[1]
+    # (latency_ns, dynamic_pj) of each flat (layer, option) cell, so one
+    # gather and one add per layer serve both float sums.
+    float_cells = np.stack((matrices.latency_ns, matrices.dynamic_pj),
+                           axis=-1).reshape(L * K, 2)
+    offsets = np.arange(L)[:, None] * K
     xbars = np.zeros(P, dtype=np.int64)
-    latency_ns = np.zeros(P, dtype=np.float64)
-    dynamic_pj = np.zeros(P, dtype=np.float64)
-    for li in range(L):
-        col = genomes[:, li]
-        xbars += matrices.crossbars[li, col]
-        latency_ns += matrices.latency_ns[li, col]
-        dynamic_pj += matrices.dynamic_pj[li, col]
+    sums = np.zeros((P, 2), dtype=np.float64)
+    for start in range(0, P, _EVAL_BLOCK):
+        stop = start + _EVAL_BLOCK
+        # Flat index of (layer l, option genomes[p, l]), laid out (L, block).
+        flat = np.add(genomes[start:stop].T, offsets, order="C")
+        xbars[start:stop] = np.take(matrices.crossbars, flat).sum(axis=0)
+        block_sums = sums[start:stop]
+        for layer_cells in np.take(float_cells, flat, axis=0):
+            block_sums += layer_cells
+    latency_ns, dynamic_pj = sums[:, 0], sums[:, 1]
     latency_ms = latency_ns / 1e6
     static_mj = (lut.p_leak_per_xbar_uw * xbars * latency_ms * 1e-6
                  * lut.energy_scale)

@@ -17,8 +17,12 @@ vector ``(latency_ms, energy_mj, crossbars)`` (all minimized):
   crossbars", which drives the population into the feasible region.
 
 Everything is vectorized: population scoring via
-:func:`~repro.search.grid.evaluate_population`, dominance via an
-O(n^2) boolean broadcast over the (population + archive) set.
+:func:`~repro.search.grid.evaluate_population`, dominance via O(n^2)
+boolean comparisons over the (population + archive) set, one ``(n, n)``
+matrix per objective folded with ``&``/``|``.  The merged set is
+deduplicated by a first-occurrence pass keyed on each genome's bytes,
+and the archive counts as changed when the kept positions are anything
+but the old archive's own.
 """
 
 from __future__ import annotations
@@ -164,12 +168,16 @@ def non_dominated_mask(objectives: np.ndarray) -> np.ndarray:
     objectives = np.asarray(objectives, dtype=np.float64)
     if objectives.ndim != 2:
         raise ValueError("objectives must be (N, M)")
-    if len(objectives) == 0:
-        return np.zeros(0, dtype=bool)
-    leq = (objectives[:, None, :] <= objectives[None, :, :]).all(axis=2)
-    lt = (objectives[:, None, :] < objectives[None, :, :]).any(axis=2)
-    dominated = (leq & lt).any(axis=0)
-    return ~dominated
+    n = len(objectives)
+    # One (N, N) comparison per objective, folded with & / |, instead of
+    # an (N, N, M) broadcast reduced over its short last axis.
+    leq = np.ones((n, n), dtype=bool)
+    lt = np.zeros((n, n), dtype=bool)
+    for column in objectives.T:
+        mine, theirs = column[:, None], column[None, :]
+        leq &= mine <= theirs
+        lt |= mine < theirs
+    return ~(leq & lt).any(axis=0)
 
 
 def crowding_distance(objectives: np.ndarray) -> np.ndarray:
@@ -188,20 +196,34 @@ def crowding_distance(objectives: np.ndarray) -> np.ndarray:
     return distance
 
 
-def _thin(genomes: np.ndarray, objectives: np.ndarray,
-          capacity: int) -> Tuple[np.ndarray, np.ndarray]:
-    if len(genomes) <= capacity:
-        return genomes, objectives
+def _thin(objectives: np.ndarray, capacity: int) -> np.ndarray:
+    """Ascending positions of the rows kept when crowding-distance
+    thinning cuts ``objectives`` down to ``capacity`` rows."""
+    if len(objectives) <= capacity:
+        return np.arange(len(objectives))
     keep = np.argsort(-crowding_distance(objectives), kind="stable")[:capacity]
     keep.sort()     # preserve insertion order for determinism
-    return genomes[keep], objectives[keep]
+    return keep
 
 
-def _dedupe(genomes: np.ndarray, objectives: np.ndarray
-            ) -> Tuple[np.ndarray, np.ndarray]:
-    _, index = np.unique(genomes, axis=0, return_index=True)
-    index.sort()
-    return genomes[index], objectives[index]
+def _dedupe(rows: np.ndarray) -> np.ndarray:
+    """Positions of each distinct row's first occurrence, in row order
+    (rows compare by their bytes)."""
+    seen = set()
+    first = []
+    for i, row in enumerate(rows):
+        key = row.tobytes()
+        if key not in seen:
+            seen.add(key)
+            first.append(i)
+    return np.array(first, dtype=np.intp)
+
+
+def _front(objectives: np.ndarray) -> np.ndarray:
+    """Ascending positions of the archive kept from deduplicated
+    ``objectives``: the non-dominated rows, thinned to capacity."""
+    front = np.flatnonzero(non_dominated_mask(objectives))
+    return front[_thin(objectives[front], ARCHIVE_CAPACITY)]
 
 
 def pareto_search(grid: CandidateGrid,
@@ -234,15 +256,13 @@ def pareto_search(grid: CandidateGrid,
         objectives = np.stack([evals.latency_ms, evals.energy_mj,
                                evals.crossbars.astype(np.float64)], axis=1)
         feasible = False
-    genomes, objectives = _dedupe(genomes, objectives)
-    mask = non_dominated_mask(objectives)
-    genomes, objectives = _thin(genomes[mask], objectives[mask],
-                                ARCHIVE_CAPACITY)
+    first = _dedupe(genomes)
+    keep = first[_front(objectives[first])]
+    genomes, objectives = genomes[keep], objectives[keep]
     # Distinct genomes can tie on every objective; keep one per objective
     # vector so the reported front has no duplicate rows.
-    _, unique_index = np.unique(objectives, axis=0, return_index=True)
-    unique_index.sort()
-    genomes, objectives = genomes[unique_index], objectives[unique_index]
+    unique = _dedupe(objectives)
+    genomes, objectives = genomes[unique], objectives[unique]
     order = np.argsort(objectives[:, 0], kind="stable")
     points = []
     for i in order:
@@ -296,14 +316,13 @@ def _pareto_search_once(grid: CandidateGrid,
         merged_o = np.concatenate([archive_o, objectives[in_budget]], axis=0)
         changed = False
         if len(merged_g):
-            merged_g, merged_o = _dedupe(merged_g, merged_o)
-            mask = non_dominated_mask(merged_o)
-            new_g, new_o = _thin(merged_g[mask], merged_o[mask],
-                                 ARCHIVE_CAPACITY)
-            changed = (len(new_g) != len(archive_g)
-                       or {g.tobytes() for g in new_g}
-                       != {g.tobytes() for g in archive_g})
-            archive_g, archive_o = new_g, new_o
+            first = _dedupe(merged_g)
+            keep = first[_front(merged_o[first])]
+            # The archive's rows are distinct and merged first, so they
+            # sit at positions [0, len(archive_g)); the archive is
+            # unchanged exactly when those are the positions kept.
+            changed = not np.array_equal(keep, np.arange(len(archive_g)))
+            archive_g, archive_o = merged_g[keep], merged_o[keep]
         history.append(float(len(archive_g)))
         if tracer.enabled:
             tracer.record(

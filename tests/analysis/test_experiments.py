@@ -13,7 +13,7 @@ from repro.analysis.experiments import (
     run_search,
     run_table1,
 )
-from repro.core.search import EvoSearchConfig
+from repro.search import EvoSearchConfig
 
 
 class TestRunTable1HardwareOnly:

@@ -15,7 +15,7 @@ from repro.analysis.hardware import (
     table1_hardware_rows,
 )
 from repro.core.designer import uniform_assignment
-from repro.core.search import EvoSearchConfig
+from repro.search import EvoSearchConfig
 from repro.models.specs import resnet50_spec
 
 

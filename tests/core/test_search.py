@@ -1,15 +1,15 @@
-"""Tests for the evolutionary layer-wise design (repro.core.search) — Alg. 1."""
+"""Tests for the evolutionary layer-wise design (repro.search) — Alg. 1."""
 
 import pytest
 
-from repro.core.search import (
+from repro.search import (
     EvoSearchConfig,
     build_candidate_grid,
     evaluate_assignment,
     evolution_search,
-    _reward,
     EvalResult,
 )
+from repro.search.evolve import _reward
 from repro.models.specs import resnet18_spec
 from repro.pim.simulator import baseline_deployment, simulate_network
 

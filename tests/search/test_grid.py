@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.search import (
+    GridMatrices,
     build_candidate_grid,
     build_matrices,
     decode_genome,
@@ -13,13 +14,19 @@ from repro.search import (
     population_rewards,
 )
 from repro.search.evolve import _reward
-from repro.models.specs import resnet18_spec
+from repro.models.specs import resnet18_spec, resnet50_spec
 
 
 @pytest.fixture(scope="module")
 def grid():
     return build_candidate_grid(resnet18_spec(), weight_bits=9,
                                 activation_bits=9)
+
+
+@pytest.fixture(scope="module")
+def grid50():
+    return build_candidate_grid(resnet50_spec(), weight_bits=9,
+                                activation_bits=9, use_wrapping=True)
 
 
 def random_population(grid, size, seed=0):
@@ -70,10 +77,11 @@ class TestMatrices:
 class TestVectorizedAgreement:
     """The satellite contract: vectorized == scalar, bit for bit."""
 
-    def test_bit_for_bit_metrics(self, grid):
+    @staticmethod
+    def assert_bit_for_bit(grid, population):
         m = grid.matrices()
-        population = random_population(grid, 128)
         evals = evaluate_population(m, population)
+        assert len(evals) == len(population)
         for i, row in enumerate(population):
             scalar = evaluate_assignment(grid, decode_genome(m, row))
             # Exact equality, not approx: both paths accumulate in the
@@ -83,6 +91,40 @@ class TestVectorizedAgreement:
             assert scalar.energy_mj == evals.energy_mj[i]
             assert scalar.edp == evals.edp[i]
             assert evals.result(i) == scalar
+
+    def test_bit_for_bit_metrics(self, grid):
+        self.assert_bit_for_bit(grid, random_population(grid, 128))
+
+    def test_bit_for_bit_metrics_resnet50(self, grid50):
+        # 54 layers: long enough that a pairwise reduction over the layer
+        # axis would round differently from the scalar left-to-right sum.
+        self.assert_bit_for_bit(grid50, random_population(grid50, 256, seed=9))
+
+    def test_bit_for_bit_across_blocks(self, grid):
+        # More individuals than one evaluation block holds.
+        self.assert_bit_for_bit(grid, random_population(grid, 2500, seed=2))
+
+    def test_single_individual(self, grid50):
+        self.assert_bit_for_bit(grid50, random_population(grid50, 1, seed=4))
+
+    def test_empty_population(self, grid50):
+        m = grid50.matrices()
+        evals = evaluate_population(
+            m, np.empty((0, m.num_layers), dtype=np.int64))
+        assert len(evals) == 0
+        assert evals.crossbars.dtype == np.int64
+        assert evals.latency_ms.shape == evals.energy_mj.shape == (0,)
+
+    def test_no_layers(self):
+        m = GridMatrices(layer_names=(), options=(),
+                         num_options=np.zeros(0, dtype=np.int64),
+                         crossbars=np.zeros((0, 0), dtype=np.int64),
+                         latency_ns=np.zeros((0, 0)),
+                         dynamic_pj=np.zeros((0, 0)))
+        evals = evaluate_population(m, np.zeros((3, 0), dtype=np.int64))
+        assert evals.crossbars.tolist() == [0, 0, 0]
+        assert evals.latency_ms.tolist() == [0.0, 0.0, 0.0]
+        assert evals.energy_mj.tolist() == [0.0, 0.0, 0.0]
 
     @pytest.mark.parametrize("objective", ["latency", "energy", "edp"])
     def test_reward_ordering_identical(self, grid, objective):

@@ -13,6 +13,7 @@ from repro.search import (
     pareto_search,
     select_index,
 )
+from repro.search.pareto import _dedupe
 from repro.models.specs import resnet18_spec
 
 
@@ -49,6 +50,51 @@ class TestNonDominatedMask:
     def test_single_and_empty(self):
         assert non_dominated_mask(np.array([[1.0, 2.0]])).tolist() == [True]
         assert non_dominated_mask(np.empty((0, 3))).tolist() == []
+
+
+def brute_force_non_dominated(objectives):
+    """The definition, pair by pair: row j survives unless some row i is
+    <= it everywhere and < it somewhere."""
+    rows = [tuple(row) for row in objectives.tolist()]
+    return [not any(all(a <= b for a, b in zip(other, row))
+                    and any(a < b for a, b in zip(other, row))
+                    for other in rows)
+            for row in rows]
+
+
+class TestNonDominatedMaskProperty:
+    def test_matches_brute_force_on_tie_heavy_matrices(self):
+        rng = np.random.default_rng(20240611)
+        sizes = [0, 1, 200] + rng.integers(0, 201, size=197).tolist()
+        for n in sizes:
+            m = int(rng.integers(1, 5))
+            # Few distinct values per column: ties and equal rows abound.
+            objectives = rng.integers(0, 4, size=(n, m)).astype(np.float64)
+            mask = non_dominated_mask(objectives)
+            assert mask.dtype == bool and mask.shape == (n,)
+            assert mask.tolist() == brute_force_non_dominated(objectives)
+
+    def test_rejects_non_matrix(self):
+        with pytest.raises(ValueError):
+            non_dominated_mask(np.zeros(3))
+
+
+class TestDedupe:
+    def test_keeps_first_occurrences_in_order(self):
+        rng = np.random.default_rng(5)
+        for n in [0, 1, 2, 30, 120]:
+            rows = rng.integers(0, 3, size=(n, 4))
+            seen, expected = [], []
+            for i, row in enumerate(rows.tolist()):
+                if row not in seen:
+                    seen.append(row)
+                    expected.append(i)
+            assert _dedupe(rows).tolist() == expected
+
+    def test_float_rows(self):
+        rows = np.array([[1.5, 2.0], [0.5, 1.0], [1.5, 2.0], [0.5, 1.0],
+                         [3.0, 3.0]])
+        assert _dedupe(rows).tolist() == [0, 1, 4]
 
 
 class TestCrowdingDistance:
