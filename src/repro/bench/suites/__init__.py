@@ -10,7 +10,6 @@
   population evaluator (plus its scalar reference), Algorithm 1 end to
   end, and the Pareto multi-objective mode;
 - :mod:`repro.bench.suites.serve` — serving runtime offered-load sweep
-  (the former ``benchmarks/bench_serve.py``, now harness-registered)
   and the deep-queue micro-batcher stress.
 
 Importing a module registers its benchmarks on the default registry;

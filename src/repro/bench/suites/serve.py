@@ -1,7 +1,6 @@
 """Benchmark for the serving runtime: offered load vs achieved throughput.
 
-The sweep (formerly ``benchmarks/bench_serve.py``, which now shims onto
-this module) replays Poisson request traces against an epitome ResNet-18
+The sweep replays Poisson request traces against an epitome ResNet-18
 deployment on 1/2/4 simulated chips at offered loads below, near and above
 each fleet's capacity, recording achieved throughput, p50/p99 latency,
 shed requests and chip utilization.  Structural expectations:
@@ -23,7 +22,6 @@ import gc
 import time
 from typing import Dict, List, Sequence
 
-from ...analysis.tables import Table
 from ...obs.metrics import MetricsRegistry
 from ...obs.runtime import use_metrics
 from ...serve import (
@@ -47,7 +45,6 @@ __all__ = [
     "SCENARIO_OVERHEAD_BUDGET_PCT",
     "build_engine",
     "run_sweep",
-    "render",
     "check_structure",
     "offered_load_factory",
     "scheduler_deep_queue_factory",
@@ -102,16 +99,6 @@ def run_sweep(num_requests: int = 500,
                 "capacity_fps": capacity,
             })
     return rows
-
-
-def render(rows: Sequence[Dict]) -> str:
-    table = Table(["chips", "offered_fps", "achieved_fps", "p50_ms",
-                   "p99_ms", "shed", "mean_util"],
-                  title="serving: offered load vs achieved throughput "
-                        "(epitome ResNet-18, W9)")
-    for row in rows:
-        table.add_dict_row(row)
-    return table.render()
 
 
 def check_structure(rows: Sequence[Dict]) -> None:

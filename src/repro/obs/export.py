@@ -111,8 +111,10 @@ def parse_prometheus_text(text: str) -> Dict[str, Dict]:
 
     ``samples`` is a list of ``(sample_name, labels_dict, value)`` tuples.
     Histogram ``_bucket``/``_sum``/``_count`` samples are grouped under
-    their family name (the ``# TYPE`` subject).  Raises
-    :class:`PrometheusParseError` on any malformed line.
+    their family name (the ``# TYPE`` subject).  Lines end at ``"\\n"``
+    only (a trailing ``"\\r"`` is tolerated), so a U+2028 in a label value
+    or help text stays content.  Raises :class:`PrometheusParseError` on
+    any malformed line.
     """
     families: Dict[str, Dict] = {}
 
@@ -128,7 +130,8 @@ def parse_prometheus_text(text: str) -> Dict[str, Dict]:
         return families.setdefault(
             base, {"type": "untyped", "help": "", "samples": []})
 
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(text.split("\n"), start=1):
+        raw = raw[:-1] if raw.endswith("\r") else raw
         line = raw.strip()
         if not line:
             continue

@@ -28,11 +28,40 @@ from __future__ import annotations
 import json
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from operator import itemgetter
 from pathlib import Path
 from typing import Dict, List, Optional, Union
 
 __all__ = ["Span", "Tracer", "NullTracer"]
+
+# Export order: start, then end, then name; the sort is stable, so spans
+# tied on all three keep their recording order.
+_EXPORT_ORDER = itemgetter(2, 3, 0)
+
+
+def _normalized(events) -> List[tuple]:
+    """Event tuples with a scalar ``args`` turned into ``{"id": value}``."""
+    return [(name, category, start_ms, end_ms, track,
+             args if args is None or isinstance(args, dict)
+             else {"id": args})
+            for name, category, start_ms, end_ms, track, args in events]
+
+
+def _row_dict(name: str, category: str, start_ms: float, end_ms: float,
+              track: str, args: Optional[Dict]) -> Dict:
+    """One span as a JSONL line object (:meth:`Span.as_dict` too)."""
+    out = {
+        "name": name,
+        "cat": category,
+        "track": track,
+        "start_ms": start_ms,
+        "end_ms": end_ms,
+        "dur_ms": end_ms - start_ms,
+    }
+    if args:
+        out["args"] = args
+    return out
 
 
 @dataclass(frozen=True)
@@ -51,27 +80,19 @@ class Span:
         return self.end_ms - self.start_ms
 
     def as_dict(self) -> Dict:
-        out = {
-            "name": self.name,
-            "cat": self.category,
-            "track": self.track,
-            "start_ms": self.start_ms,
-            "end_ms": self.end_ms,
-            "dur_ms": self.duration_ms,
-        }
-        if self.args:
-            out["args"] = self.args
-        return out
+        return _row_dict(self.name, self.category, self.start_ms,
+                         self.end_ms, self.track, self.args)
 
 
 class Tracer:
     """Collects spans; ``enabled`` is True so instrumentation emits.
 
     Recording is the hot path (one or more calls per served request), so
-    spans are kept as raw tuples and only materialized into
-    :class:`Span` objects on access/export — the ``obs.overhead``
-    benchmark holds instrumented serving to <5% over uninstrumented, and
-    per-record dataclass construction alone would blow that budget.
+    spans are kept as raw tuples: the exports build their output straight
+    from them, and only :attr:`spans` materializes :class:`Span` objects
+    — the ``obs.overhead`` benchmark holds instrumented serving to <5%
+    over uninstrumented, and per-record dataclass construction alone
+    would blow that budget.
     """
 
     enabled = True
@@ -87,25 +108,26 @@ class Tracer:
 
     @property
     def spans(self) -> List[Span]:
-        """The recorded spans, materialized (export-time, not hot).
+        """The recorded spans in recording order, materialized (not hot).
 
         A non-dict ``args`` payload is an identity scalar recorded on
         the cheap emission path (see :meth:`extend`) and comes out as
         ``{"id": value}``.
         """
         self._flush_sources()
-        return [Span(name=name, category=category, start_ms=start_ms,
-                     end_ms=end_ms, track=track,
-                     args=args if args is None or isinstance(args, dict)
-                     else {"id": args})
-                for name, category, start_ms, end_ms, track, args
-                in self._events]
+        return [Span(*row) for row in _normalized(self._events)]
 
     def _flush_sources(self) -> None:
         """Materialize every pending lazy source into the event list."""
         while self._sources:
             source = self._sources.pop(0)
             self._events.extend(source())
+
+    def _ordered_rows(self) -> List[tuple]:
+        """Every span as a normalized event tuple, in export order (both
+        exports build their output from these)."""
+        self._flush_sources()
+        return _normalized(sorted(self._events, key=_EXPORT_ORDER))
 
     # ---- recording ----------------------------------------------------
     def record(self, name: str, category: str, start_ms: float,
@@ -167,25 +189,24 @@ class Tracer:
         each); timestamps are microseconds as the format requires.  Events
         are sorted by start time so per-track ``ts`` is monotone.
         """
-        spans = self.spans
-        tracks = sorted({span.track for span in spans})
+        rows = self._ordered_rows()
+        tracks = sorted({row[4] for row in rows})
         tids = {track: i for i, track in enumerate(tracks)}
         events: List[Dict] = [
             {"name": "thread_name", "ph": "M", "pid": 0, "tid": tids[t],
              "args": {"name": t}} for t in tracks]
-        for span in sorted(spans,
-                           key=lambda s: (s.start_ms, s.end_ms, s.name)):
+        for name, category, start_ms, end_ms, track, args in rows:
             event = {
-                "name": span.name,
-                "cat": span.category,
+                "name": name,
+                "cat": category,
                 "ph": "X",
-                "ts": span.start_ms * 1000.0,
-                "dur": span.duration_ms * 1000.0,
+                "ts": start_ms * 1000.0,
+                "dur": (end_ms - start_ms) * 1000.0,
                 "pid": 0,
-                "tid": tids[span.track],
+                "tid": tids[track],
             }
-            if span.args:
-                event["args"] = span.args
+            if args:
+                event["args"] = args
             events.append(event)
         return {"traceEvents": events, "displayTimeUnit": "ms"}
 
@@ -199,11 +220,9 @@ class Tracer:
         """One span per line, start-time ordered."""
         path = Path(path)
         path.parent.mkdir(parents=True, exist_ok=True)
-        ordered = sorted(self.spans,
-                         key=lambda s: (s.start_ms, s.end_ms, s.name))
-        with open(path, "w", encoding="utf-8") as fh:
-            for span in ordered:
-                fh.write(json.dumps(span.as_dict()) + "\n")
+        path.write_text("".join([json.dumps(_row_dict(*row)) + "\n"
+                                 for row in self._ordered_rows()]),
+                        encoding="utf-8")
         return path
 
 

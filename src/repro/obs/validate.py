@@ -29,7 +29,7 @@ from __future__ import annotations
 import json
 import math
 from pathlib import Path
-from typing import Dict, List, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 from .export import PrometheusParseError, parse_prometheus_text
 
@@ -42,6 +42,19 @@ __all__ = [
 ]
 
 _PHASES_OK = {"X", "B", "E", "M", "i", "I", "C"}
+
+
+def _non_negative(value) -> Optional[float]:
+    """``value`` as a float when it is a non-negative, non-NaN number
+    (``bool`` excluded), else None — including an integer too large for
+    a float, which a file from outside the program may hold."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return None
+    try:
+        value = float(value)
+    except OverflowError:
+        return None
+    return None if math.isnan(value) or value < 0 else value
 
 
 def validate_chrome_trace(payload) -> List[str]:
@@ -60,40 +73,38 @@ def validate_chrome_trace(payload) -> List[str]:
     open_stacks: Dict[Tuple, List[str]] = {}
     timed = 0
     for i, event in enumerate(events):
-        where = f"event[{i}]"
         if not isinstance(event, dict):
-            problems.append(f"{where}: not an object")
+            problems.append(f"event[{i}]: not an object")
             continue
         phase = event.get("ph")
         if not isinstance(phase, str) or not phase:
-            problems.append(f"{where}: missing 'ph' phase")
+            problems.append(f"event[{i}]: missing 'ph' phase")
             continue
         if phase not in _PHASES_OK:
-            problems.append(f"{where}: unsupported phase {phase!r}")
+            problems.append(f"event[{i}]: unsupported phase {phase!r}")
             continue
         if "name" not in event:
-            problems.append(f"{where}: missing 'name'")
+            problems.append(f"event[{i}]: missing 'name'")
         if phase == "M":
             continue        # metadata events carry no timestamp
         ts = event.get("ts")
-        if not isinstance(ts, (int, float)) or isinstance(ts, bool) \
-                or math.isnan(float(ts)) or float(ts) < 0:
-            problems.append(f"{where}: 'ts' must be a non-negative number, "
-                            f"got {ts!r}")
+        ts_value = _non_negative(ts)
+        if ts_value is None:
+            problems.append(f"event[{i}]: 'ts' must be a non-negative "
+                            f"number, got {ts!r}")
             continue
         timed += 1
         track = (event.get("pid", 0), event.get("tid", 0))
         previous = last_ts.get(track)
-        if previous is not None and float(ts) < previous:
+        if previous is not None and ts_value < previous:
             problems.append(
-                f"{where}: ts {ts} goes backwards on track pid/tid "
+                f"event[{i}]: ts {ts} goes backwards on track pid/tid "
                 f"{track} (previous {previous})")
-        last_ts[track] = float(ts)
+        last_ts[track] = ts_value
         if phase == "X":
             dur = event.get("dur")
-            if not isinstance(dur, (int, float)) or isinstance(dur, bool) \
-                    or math.isnan(float(dur)) or float(dur) < 0:
-                problems.append(f"{where}: X event needs a non-negative "
+            if _non_negative(dur) is None:
+                problems.append(f"event[{i}]: X event needs a non-negative "
                                 f"'dur', got {dur!r}")
         elif phase == "B":
             open_stacks.setdefault(track, []).append(
@@ -101,7 +112,7 @@ def validate_chrome_trace(payload) -> List[str]:
         elif phase == "E":
             stack = open_stacks.get(track)
             if not stack:
-                problems.append(f"{where}: E event with no open B on "
+                problems.append(f"event[{i}]: E event with no open B on "
                                 f"track pid/tid {track}")
             else:
                 stack.pop()
@@ -237,10 +248,13 @@ def _resilience_consistency(families: Dict) -> List[str]:
 
 
 def validate_jsonl(text: str) -> List[str]:
-    """Problems with a JSONL payload (empty list = valid)."""
+    """Problems with a JSONL payload (empty list = valid).
+
+    Lines end at ``"\\n"`` only (a trailing ``"\\r"`` is tolerated): a
+    U+2028 inside a JSON string is content, not a line break."""
     problems: List[str] = []
     seen = 0
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(text.split("\n"), start=1):
         if not line.strip():
             continue
         seen += 1
@@ -253,22 +267,26 @@ def validate_jsonl(text: str) -> List[str]:
     return problems
 
 
+def _sniff(path: Path, text: str) -> Tuple[str, object]:
+    """``(format, payload)``: the format from suffix then content, and
+    for ``chrome-trace`` the JSON it parsed to decide (None otherwise)."""
+    if path.suffix == ".jsonl":
+        return ("jsonl", None)
+    if path.suffix in (".prom", ".txt"):
+        return ("prometheus", None)
+    if text.lstrip().startswith(("{", "[")):
+        try:
+            return ("chrome-trace", json.loads(text))
+        except json.JSONDecodeError:
+            # Many JSON objects on separate lines: JSONL.
+            return ("jsonl", None)
+    return ("prometheus", None)
+
+
 def sniff_format(path: Path, text: str) -> str:
     """``chrome-trace`` | ``jsonl`` | ``prometheus``, from suffix then
     content."""
-    if path.suffix == ".jsonl":
-        return "jsonl"
-    if path.suffix in (".prom", ".txt"):
-        return "prometheus"
-    stripped = text.lstrip()
-    if stripped.startswith(("{", "[")):
-        try:
-            json.loads(text)
-            return "chrome-trace"
-        except json.JSONDecodeError:
-            # Many JSON objects on separate lines: JSONL.
-            return "jsonl"
-    return "prometheus"
+    return _sniff(path, text)[0]
 
 
 def validate_file(path: Union[str, Path]) -> Tuple[str, List[str]]:
@@ -278,12 +296,8 @@ def validate_file(path: Union[str, Path]) -> Tuple[str, List[str]]:
         text = path.read_text()
     except OSError as exc:
         return ("unreadable", [f"cannot read {path}: {exc}"])
-    kind = sniff_format(path, text)
+    kind, payload = _sniff(path, text)
     if kind == "chrome-trace":
-        try:
-            payload = json.loads(text)
-        except json.JSONDecodeError as exc:
-            return (kind, [f"not valid JSON: {exc}"])
         return (kind, validate_chrome_trace(payload))
     if kind == "jsonl":
         return (kind, validate_jsonl(text))

@@ -118,18 +118,18 @@ class _Executor:
         self.pending_stall_ms = 0.0
 
 
-def _span_events(records: List[RequestRecord], tracks,
-                 fault_events: Sequence[dict] = (),
-                 resilience_events: Sequence[dict] = ()) -> List[tuple]:
-    """Synthesize the serve span set from completed-request records.
+def _span_events(telemetry: TelemetryCollector, tracks) -> List[tuple]:
+    """Synthesize the serve span set from a run's telemetry.
 
-    Lazy tracer source (see :meth:`repro.obs.tracer.Tracer.add_source`):
-    one ``request`` span per record on the ``requests`` track running
-    arrival to finish (queue wait and service time are its geometry —
-    it overlaps its batch span from dispatch on), plus one ``batch``
-    span per dispatch on the owning replica's track.  Batches are
-    recovered by grouping consecutive records sharing a dispatch time
-    and chip set; ``tracks`` maps ``chip_ids`` to ``(replica, track)``.
+    Lazy tracer source (see :meth:`repro.obs.tracer.Tracer.add_source`)
+    for both replay engines, reading the per-field completion lists
+    (:meth:`TelemetryCollector.completion_lists`): one ``request`` span
+    per completed request on the ``requests`` track running arrival to
+    finish (queue wait and service time are its geometry — it overlaps
+    its batch span from dispatch on), plus one ``batch`` span per
+    dispatch on the owning replica's track.  Batches are recovered by
+    grouping consecutive completions sharing a dispatch time and chip
+    set; ``tracks`` maps ``chip_ids`` to ``(replica, track)``.
 
     Fault episodes land on a dedicated ``faults`` track: a ``failover``
     span runs from a chip kill to the last requeued request's eventual
@@ -142,26 +142,29 @@ def _span_events(records: List[RequestRecord], tracks,
     ``brownout`` spans.  An episode still open when the run ends extends
     to the run's last known instant.
     """
+    ids, arrivals, starts, finishes, chip_ids, sizes = \
+        telemetry.completion_lists()
     events: List[tuple] = [
-        ("request", "serve.request", r.arrival_ms, r.finish_ms,
-         "requests", r.request_id) for r in records]
+        ("request", "serve.request", arrival, finish, "requests", rid)
+        for rid, arrival, finish in zip(ids, arrivals, finishes)]
     batches: List[list] = []
     key = None
-    for r in records:
-        k = (r.start_ms, r.chip_ids)
+    for start, finish, chips, size in zip(starts, finishes, chip_ids, sizes):
+        k = (start, chips)
         if k != key:
             key = k
-            batches.append([r.start_ms, r.finish_ms, r.chip_ids,
-                            r.batch_size])
+            batches.append([start, finish, chips, size])
         else:
-            batches[-1][1] = r.finish_ms
+            batches[-1][1] = finish
     for start, finish, chips, size in batches:
         replica, track = tracks.get(chips, (-1, "replica?"))
         events.append(("batch", "serve.batch", start, finish, track,
                        {"batch_size": size, "chips": chips,
                         "replica": replica}))
+    fault_events = telemetry.fault_events
+    resilience_events = telemetry.resilience_events
     if fault_events:
-        finish_by_id = {r.request_id: r.finish_ms for r in records}
+        finish_by_id = dict(zip(ids, finishes))
         for event in fault_events:
             start = float(event.get("at_ms", 0.0))
             kind = event.get("kind")
@@ -192,7 +195,7 @@ def _span_events(records: List[RequestRecord], tracks,
                      "outcome": event.get("outcome", "")}))
     if resilience_events:
         run_end = max(
-            [r.finish_ms for r in records]
+            finishes
             + [float(e.get("at_ms", 0.0)) for e in resilience_events]
             or [0.0])
         open_breakers: dict = {}    # replica -> episode start
@@ -437,11 +440,7 @@ class ServingEngine:
                                        + telemetry.num_rejected)
             scheduler.num_rejected = telemetry.num_rejected
             scheduler.num_batches = telemetry.num_batches
-            if tracer.enabled:
-                tracks = {ex.chip_ids: (ex.index, ex.track)
-                          for ex in self.executors}
-                tracer.add_source(
-                    lambda: _span_events(telemetry.records, tracks))
+            self._add_span_source(tracer, telemetry)
             self._publish_metrics(telemetry, scheduler, metrics)
             return telemetry
 
@@ -680,22 +679,23 @@ class ServingEngine:
                 admission.admitted = adm_admitted
                 admission._refilled = adm_refilled
             runtime.finalize(now, telemetry)
-        # Tracing costs the replay loop nothing: the telemetry records
-        # already hold every request's full lifecycle, so an enabled
-        # tracer gets one lazy closure that synthesizes the request and
-        # batch spans if and when they are exported (see
-        # Tracer.add_source and the obs.overhead benchmark).
-        if tracer.enabled:
-            tracks = {ex.chip_ids: (ex.index, ex.track)
-                      for ex in self.executors}
-            tracer.add_source(
-                lambda: _span_events(telemetry.records, tracks,
-                                     telemetry.fault_events,
-                                     telemetry.resilience_events))
+        self._add_span_source(tracer, telemetry)
         self._publish_metrics(telemetry, scheduler, metrics,
                               faults_active=faults is not None,
                               resilience=telemetry.resilience)
         return telemetry
+
+    def _add_span_source(self, tracer: Tracer,
+                         telemetry: TelemetryCollector) -> None:
+        """Tracing costs either replay engine nothing: the telemetry
+        already holds every request's full lifecycle, so an enabled
+        tracer gets one lazy closure that synthesizes the spans if and
+        when they are exported (see Tracer.add_source and the
+        obs.overhead benchmark)."""
+        if tracer.enabled:
+            tracks = {ex.chip_ids: (ex.index, ex.track)
+                      for ex in self.executors}
+            tracer.add_source(lambda: _span_events(telemetry, tracks))
 
     def _execute(self, executor: _Executor, batch: Batch, now: float,
                  telemetry: TelemetryCollector,

@@ -121,26 +121,35 @@ class TelemetryCollector:
             self._batch_sizes = self._batch_col.tolist()
         return self._batch_sizes
 
-    def _materialize_records(self) -> List[RequestRecord]:
+    def completion_lists(self) -> Tuple[List, List, List, List, List, List]:
+        """Per-field lists of the completed requests, dispatch order:
+        ``(request_id, arrival_ms, start_ms, finish_ms, chip_ids,
+        batch_size)``.
+
+        Read straight off the completion columns after a vectorized
+        replay (no :class:`RequestRecord` is built), off the records
+        otherwise — the same Python values either way."""
         cols = self._completed
         if cols is None:
-            return []
-        groups: Tuple[Tuple[int, ...], ...] = cols["executor_chip_ids"]
-        ids = cols["request_id"].tolist()
-        arrivals = cols["arrival_ms"].tolist()
-        starts = cols["start_ms"].tolist()
-        finishes = cols["finish_ms"].tolist()
-        sizes = cols["batch_size"].tolist()
-        executors = cols["executor_index"].tolist()
-        priorities = cols["priority"].tolist()
-        models = cols["model"]
-        return [RequestRecord(
-                    request_id=ids[k], arrival_ms=arrivals[k],
-                    start_ms=starts[k], finish_ms=finishes[k],
-                    chip_ids=groups[executors[k]], batch_size=sizes[k],
-                    priority=priorities[k],
-                    model=models[k] if models is not None else "")
-                for k in range(len(ids))]
+            records = self._records
+            return ([r.request_id for r in records],
+                    [r.arrival_ms for r in records],
+                    [r.start_ms for r in records],
+                    [r.finish_ms for r in records],
+                    [r.chip_ids for r in records],
+                    [r.batch_size for r in records])
+        groups = cols["executor_chip_ids"]
+        return (cols["request_id"].tolist(), cols["arrival_ms"].tolist(),
+                cols["start_ms"].tolist(), cols["finish_ms"].tolist(),
+                [groups[e] for e in cols["executor_index"].tolist()],
+                cols["batch_size"].tolist())
+
+    def _materialize_records(self) -> List[RequestRecord]:
+        fields = self.completion_lists()
+        cols = self._completed
+        models = cols["model"] or ("",) * len(fields[0])
+        return [RequestRecord(*record) for record in
+                zip(*fields, cols["priority"].tolist(), models)]
 
     # ---- event ingestion ---------------------------------------------
     def record_completion(self, record: RequestRecord) -> None:

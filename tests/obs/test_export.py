@@ -98,6 +98,26 @@ class TestPrometheusParser:
         families = parse_prometheus_text("# scraped by tests\nm 1\n")
         assert families["m"]["samples"][0][2] == 1.0
 
+    @pytest.mark.parametrize("char", ["\u2028", "\u2029", "\x85"])
+    def test_only_newline_ends_a_line(self, char):
+        # str.splitlines() would also break at these, splitting one
+        # sample (and one help text) in two
+        text = (f"# HELP reqs served{char}requests\n# TYPE reqs counter\n"
+                f'reqs{{path="a{char}b"}} 7\n')
+        family = parse_prometheus_text(text)["reqs"]
+        assert family["help"] == f"served{char}requests"
+        assert family["samples"] == [("reqs", {"path": f"a{char}b"}, 7.0)]
+
+    def test_crlf_line_endings_tolerated(self):
+        families = parse_prometheus_text("# TYPE m counter\r\nm 1\r\n")
+        assert families["m"]["type"] == "counter"
+        assert families["m"]["samples"][0][2] == 1.0
+
+    def test_line_numbers_stay_one_based_across_crlf(self):
+        with pytest.raises(PrometheusParseError) as info:
+            parse_prometheus_text("m 1\r\n\r\nbad { sample\r\n")
+        assert str(info.value) == "line 3: unparseable sample: 'bad { sample'"
+
 
 class TestJsonl:
     def test_histogram_payload_richness(self, registry):

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from repro.obs.export import prometheus_text
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracer import Tracer
@@ -52,6 +54,49 @@ class TestChromeTrace:
     def test_empty_trace_flagged(self):
         assert validate_chrome_trace([]) == ["trace has no timed events"]
 
+    def test_ts_too_large_for_a_float_reported(self):
+        problems = validate_chrome_trace(
+            [{"name": "x", "ph": "X", "ts": 10**400, "dur": 1}])
+        assert len(problems) == 1
+        assert problems[0].startswith(
+            "event[0]: 'ts' must be a non-negative number, got 1000")
+
+    def test_dur_too_large_for_a_float_reported(self):
+        problems = validate_chrome_trace(
+            [{"name": "x", "ph": "X", "ts": 0, "dur": 10**400}])
+        assert len(problems) == 1
+        assert problems[0].startswith(
+            "event[0]: X event needs a non-negative 'dur', got 1000")
+
+    def test_problem_strings_unchanged(self):
+        """The exact wording other tools grep for."""
+        problems = validate_chrome_trace([
+            "oops",
+            {"name": "a"},
+            {"name": "a", "ph": "Q"},
+            {"ph": "M"},
+            {"name": "a", "ph": "X", "ts": float("nan"), "dur": 1.0},
+            {"name": "a", "ph": "X", "ts": True, "dur": 1.0},
+            {"name": "a", "ph": "X", "ts": 5, "dur": -1.0},
+            {"name": "a", "ph": "X", "ts": 2.0, "dur": float("nan")},
+            {"name": "a", "ph": "E", "ts": 3.0, "tid": 1},
+            {"name": "a", "ph": "B", "ts": 4.0, "tid": 1},
+        ])
+        assert problems == [
+            "event[0]: not an object",
+            "event[1]: missing 'ph' phase",
+            "event[2]: unsupported phase 'Q'",
+            "event[3]: missing 'name'",
+            "event[4]: 'ts' must be a non-negative number, got nan",
+            "event[5]: 'ts' must be a non-negative number, got True",
+            "event[6]: X event needs a non-negative 'dur', got -1.0",
+            "event[7]: ts 2.0 goes backwards on track pid/tid (0, 0) "
+            "(previous 5.0)",
+            "event[7]: X event needs a non-negative 'dur', got nan",
+            "event[8]: E event with no open B on track pid/tid (0, 1)",
+            "unclosed B event 'a' on track pid/tid (0, 1)",
+        ]
+
 
 class TestPrometheus:
     def test_exporter_output_is_valid(self):
@@ -96,6 +141,19 @@ class TestJsonl:
 
     def test_empty_payload_flagged(self):
         assert validate_jsonl("\n\n") == ["no JSON lines found"]
+
+    @pytest.mark.parametrize("char", ["\u2028", "\u2029", "\x85"])
+    def test_only_newline_ends_a_line(self, char):
+        # one valid line whose string holds a character str.splitlines()
+        # would break at
+        assert validate_jsonl(f'{{"a": "x{char}y"}}\n') == []
+
+    def test_crlf_line_endings_tolerated(self):
+        assert validate_jsonl('{"a": 1}\r\n\r\n{"b": 2}\r\n') == []
+
+    def test_line_numbers_stay_one_based(self):
+        problems = validate_jsonl('{"a": "\u2028"}\r\n\nnot json\r\n')
+        assert problems == ["line 3: not valid JSON (Expecting value)"]
 
 
 class TestSniffAndFile:

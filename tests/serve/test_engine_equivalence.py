@@ -22,6 +22,9 @@ Coverage is three-pronged:
   configs, because hand-picked cases never find the boundary where two
   implementations disagree.
 
+The span sets the two engines' telemetry synthesizes for a tracer are
+held to the same standard over the catalog matrix and fleet sizes.
+
 The armed-mode tests pin the fallback contract: fault plans, the
 resilience runtime, and non-FIFO policies must *never* silently change
 results — ``auto`` falls back to the scalar loop (and says why), and
@@ -37,6 +40,7 @@ import pytest
 from repro.core.designer import build_deployments, uniform_assignment
 from repro.models.specs import resnet18_spec
 from repro.obs.metrics import MetricsRegistry
+from repro.obs.tracer import Tracer
 from repro.pim.simulator import simulate_network
 from repro.serve.engine import ENGINES, ServingConfig, ServingEngine
 from repro.serve.resilience import ResilienceConfig
@@ -313,6 +317,41 @@ class TestArmedModeFallback:
         with pytest.raises(ValueError):
             ServingConfig(engine="turbo")
         assert set(ENGINES) == {"auto", "scalar", "vectorized"}
+
+
+class TestSpanParity:
+    """The spans synthesized from the vectorized engine's completion
+    columns equal those synthesized from the scalar oracle's records."""
+
+    @staticmethod
+    def assert_same_spans(engine, trace):
+        tracers = {}
+        for choice in ("scalar", "vectorized"):
+            tracers[choice] = Tracer()
+            engine.serve(trace, tracer=tracers[choice],
+                         metrics=MetricsRegistry(), engine=choice)
+        scalar, vectorized = tracers["scalar"], tracers["vectorized"]
+        assert len(scalar) > 0
+        assert vectorized.spans == scalar.spans
+        # byte-level: catches int/float and NumPy-scalar drift that ==
+        # forgives
+        assert json.dumps(vectorized.to_chrome_trace()) == \
+            json.dumps(scalar.to_chrome_trace())
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    @pytest.mark.parametrize("name", CATALOG)
+    def test_catalog_spans_identical(self, report, name, seed):
+        engine = make_engine(report)
+        trace = get_scenario(name).to_trace_arrays(
+            2000, rate_rps=0.9 * engine.plan.throughput_fps, seed=seed)
+        self.assert_same_spans(engine, trace)
+
+    @pytest.mark.parametrize("num_chips", [1, 4])
+    def test_fleet_sizes(self, report, num_chips):
+        engine = make_engine(report, num_chips=num_chips)
+        trace = synthetic_trace_arrays(
+            1500, rate_rps=0.95 * engine.plan.throughput_fps, seed=7)
+        self.assert_same_spans(engine, trace)
 
 
 class TestObservableStateParity:
