@@ -104,19 +104,24 @@ class P2Quantile:
                 else:
                     h[i] = self._linear(i, step)
                 pos[i] += step
-    def observe_bulk(self, values: np.ndarray) -> None:
+    def observe_bulk(self, values: np.ndarray,
+                     sketch: Optional[np.ndarray] = None) -> None:
         """Feed a batch of observations without a per-value Python loop.
 
-        While the estimator still holds raw samples (count <= 5) the
-        batch is pooled with them and the five markers initialized from
-        the pool's *exact* quantiles — the state P² would converge
-        toward.  Once the markers are summaries (count > 5), the batch's
+        A fresh estimator initializes its five markers from the batch's
+        *exact* quantiles — the state P² would converge toward; while it
+        still holds raw samples (count 1-5) the batch is pooled with them
+        first.  Once the markers are summaries (count > 5), the batch's
         exact quantile sketch is merged in by averaging the two
         piecewise-linear CDFs weighted by observation count and
         re-reading the marker heights off the merged curve.  Either way
         the update is O(n log n) vectorized and O(1) memory; the
         publish-once pattern (fresh registry per run) hits the exact
         path.  Batches smaller than five stream one at a time.
+
+        ``sketch``, when given, is ``np.quantile(values, probs)`` at this
+        estimator's marker probabilities, computed by the caller in one
+        pass for several estimators (:meth:`Histogram.observe_many`).
         """
         arr = np.asarray(values, dtype=np.float64).ravel()
         n = int(arr.size)
@@ -127,18 +132,20 @@ class P2Quantile:
                 self.observe(v)
             return
         probs = np.asarray(self._increments)  # (0, q/2, q, (1+q)/2, 1)
-        if self.count <= 5:
+        if 0 < self.count <= 5:
             # Heights are still the raw first observations: pool & redo.
             pooled = np.concatenate([np.asarray(self._heights), arr])
             heights = np.quantile(pooled, probs)
         else:
-            batch = np.quantile(arr, probs)
-            mine = np.asarray(self._heights)
-            knots = np.union1d(mine, batch)
-            merged_cdf = (self.count * np.interp(knots, mine, probs)
-                          + n * np.interp(knots, batch, probs)) \
-                / (self.count + n)
-            heights = np.interp(probs, merged_cdf, knots)
+            batch = np.quantile(arr, probs) if sketch is None else sketch
+            heights = batch
+            if self.count:
+                mine = np.asarray(self._heights)
+                knots = np.union1d(mine, batch)
+                merged_cdf = (self.count * np.interp(knots, mine, probs)
+                              + n * np.interp(knots, batch, probs)) \
+                    / (self.count + n)
+                heights = np.interp(probs, merged_cdf, knots)
         total = self.count + n
         self._heights = [float(v) for v in heights]
         self._positions = [1.0 + p * (total - 1) for p in probs]
@@ -253,18 +260,29 @@ class Histogram:
         arr = np.asarray(values, dtype=np.float64).ravel()
         if arr.size == 0:
             return
-        idx = np.searchsorted(self.buckets, arr, side="left")
-        counts = np.bincount(idx, minlength=len(self.bucket_counts))
-        for i, c in enumerate(counts):
-            self.bucket_counts[i] += int(c)
+        # Bucket i holds the values in (bound[i-1], bound[i]]; NaN fails
+        # every comparison and lands in +inf.  One comparison pass per
+        # bound is several times cheaper than a binary search per value.
+        below = 0
+        for i, bound in enumerate(self.buckets):
+            at_or_below = int(np.count_nonzero(arr <= bound))
+            self.bucket_counts[i] += at_or_below - below
+            below = at_or_below
+        self.bucket_counts[-1] += int(arr.size) - below
         self.count += int(arr.size)
         self.sum += float(arr.sum())
         self.min = min(self.min, float(arr.min()))
         self.max = max(self.max, float(arr.max()))
         if arr.size > P2_SAMPLE_CAP:
             arr = arr[:: int(np.ceil(arr.size / P2_SAMPLE_CAP))]
-        for est in self._quantiles.values():
-            est.observe_bulk(arr)
+        # One quantile pass serves every estimator's markers, over a
+        # sorted copy (same order statistics, so the same values, and
+        # quicker to select from than the raw sample).
+        estimators = list(self._quantiles.values())
+        sketch = np.quantile(np.sort(arr), [p for est in estimators
+                                            for p in est._increments])
+        for k, est in enumerate(estimators):
+            est.observe_bulk(arr, sketch[5 * k:5 * k + 5])
 
     @property
     def mean(self) -> float:

@@ -39,7 +39,7 @@ from .resilience import BrownoutPlan, ResilienceConfig, ResilienceRuntime
 from .scenarios.faults import FaultPlan, ResolvedFault, parse_faults
 from .scheduler import Batch, MicroBatchScheduler, SchedulerConfig
 from .sharding import ShardPlan, plan_sharding
-from .telemetry import RequestRecord, TelemetryCollector
+from .telemetry import COMPLETION_FIELDS, TelemetryCollector
 from .trace import Request, TraceArrays
 from .vectorized import replay_vectorized
 
@@ -385,8 +385,8 @@ class ServingEngine:
         ``serve.faults.*`` when a plan is supplied) into ``metrics``
         (default: the installed registry).  Tracing costs the replay loop
         nothing either way: an enabled tracer receives one lazy closure
-        per run that expands the telemetry records into spans at export
-        time — see the ``obs.overhead`` benchmark.
+        per run that expands the telemetry's completion columns into
+        spans at export time — see the ``obs.overhead`` benchmark.
 
         ``engine`` overrides ``config.engine`` for this call: ``"scalar"``
         forces the event loop below, ``"vectorized"`` the whole-trace
@@ -449,7 +449,8 @@ class ServingEngine:
         trace = sorted(requests,
                        key=lambda r: (r.arrival_ms, r.request_id))
         scheduler = MicroBatchScheduler(self.config.scheduler)
-        telemetry = TelemetryCollector(num_chips=self.config.num_chips)
+        telemetry = TelemetryCollector(self.config.num_chips,
+                                       [ex.chip_ids for ex in self.executors])
         for ex in self.executors:
             ex.reset()
 
@@ -457,6 +458,11 @@ class ServingEngine:
         if n == 0:
             return telemetry
         now = trace[0].arrival_ms
+        # Telemetry is written through bound column appends: one call
+        # per completion field or queue sample, no per-event object.
+        completion_appends = telemetry.appenders(*COMPLETION_FIELDS)
+        sample_ms, sample_depth = telemetry.appenders("queue_ms",
+                                                      "queue_depth")
 
         fault_queue: List[ResolvedFault] = []
         if faults is not None:
@@ -640,12 +646,13 @@ class ServingEngine:
                 ex = min(free, key=lambda e: (e.free_at_ms, e.index))
                 batch = scheduler.next_batch(now)
                 last_finish = self._execute(ex, batch, now, telemetry,
-                                            runtime)
+                                            completion_appends, runtime)
                 if last_finish > max_finish_ms:
                     max_finish_ms = last_finish
             # Exactly one depth sample per event (the settled post-dispatch
             # state) — asymmetric sampling would bias the mean.
-            telemetry.record_queue_depth(now, len(scheduler))
+            sample_ms(now)
+            sample_depth(len(scheduler))
             candidates = []
             if i < n:
                 candidates.append(trace[i].arrival_ms)
@@ -699,9 +706,12 @@ class ServingEngine:
 
     def _execute(self, executor: _Executor, batch: Batch, now: float,
                  telemetry: TelemetryCollector,
+                 completion_appends: tuple,
                  runtime: Optional[ResilienceRuntime] = None) -> float:
         """Dispatch ``batch`` on ``executor``; returns the finish time of
-        the batch's last image (the engine's in-flight horizon)."""
+        the batch's last image (the engine's in-flight horizon).
+        ``completion_appends`` are the telemetry's column appenders in
+        ``COMPLETION_FIELDS`` order."""
         size = batch.size
         factor = executor.service_factor(now)
         stall = executor.pending_stall_ms
@@ -736,18 +746,18 @@ class ServingEngine:
             telemetry.record_chip_busy(
                 chip_id, stall + size * shard.image_interval_ms * factor
                 * occupancy_scale)
+        (add_id, add_arrival, add_start, add_finish, add_executor,
+         add_size, add_priority, add_model) = completion_appends
+        index = executor.index
         for j, request in enumerate(batch.requests):
-            finish = now + fill + j * interval
-            telemetry.record_completion(RequestRecord(
-                request_id=request.request_id,
-                arrival_ms=request.arrival_ms,
-                start_ms=now,
-                finish_ms=finish,
-                chip_ids=executor.chip_ids,
-                batch_size=size,
-                priority=request.priority,
-                model=request.model,
-            ))
+            add_id(request.request_id)
+            add_arrival(request.arrival_ms)
+            add_start(now)
+            add_finish(now + fill + j * interval)
+            add_executor(index)
+            add_size(size)
+            add_priority(request.priority)
+            add_model(request.model)
         return now + fill + (size - 1) * interval
 
     # ------------------------------------------------------------------
@@ -822,46 +832,28 @@ class ServingEngine:
             telemetry.record_fault(event)
             return not any(e.alive for e in self.executors)
         ex.alive = False
-        # Completions are recorded eagerly at dispatch; retract every
-        # record this replica would have emitted after the kill instant.
-        inflight = [r for r in telemetry.records
-                    if r.chip_ids == ex.chip_ids
-                    and r.finish_ms > fault.at_ms + _EPS]
-        telemetry.drop_records(inflight)
+        # Completions are recorded eagerly at dispatch; retract every one
+        # this replica would have emitted after the kill instant.
+        inflight = telemetry.retract(ex.index, fault.at_ms + _EPS)
         survivors = any(e.alive for e in self.executors)
-        requeued = lost = 0
         requeued_ids = []
-        for rec in sorted(inflight,
-                          key=lambda r: (r.arrival_ms, r.request_id)):
+        for request in inflight:
+            rid = request.request_id
             if runtime is not None:
-                if survivors and runtime.try_schedule_retry(
-                        Request(request_id=rec.request_id,
-                                arrival_ms=rec.arrival_ms,
-                                priority=rec.priority,
-                                model=rec.model),
-                        fault.at_ms):
-                    telemetry.record_retry(rec.request_id)
-                    requeued += 1
-                    requeued_ids.append(rec.request_id)
-                else:
-                    telemetry.record_failure(rec.request_id)
-                    lost += 1
-                continue
-            can_retry = survivors and rec.request_id not in retried_ids
-            if can_retry:
-                retried_ids.add(rec.request_id)
-                resubmitted = scheduler.submit(Request(
-                    request_id=rec.request_id,
-                    arrival_ms=rec.arrival_ms,
-                    priority=rec.priority,
-                    model=rec.model))
-                if resubmitted:
-                    telemetry.record_retry(rec.request_id)
-                    requeued += 1
-                    requeued_ids.append(rec.request_id)
-                    continue
-            telemetry.record_failure(rec.request_id)
-            lost += 1
+                retried = survivors and runtime.try_schedule_retry(
+                    request, fault.at_ms)
+            else:
+                retried = survivors and rid not in retried_ids
+                if retried:
+                    retried_ids.add(rid)
+                    retried = scheduler.submit(request)
+            if retried:
+                telemetry.record_retry(rid)
+                requeued_ids.append(rid)
+            else:
+                telemetry.record_failure(rid)
+        requeued = len(requeued_ids)
+        lost = len(inflight) - requeued
         event.update(
             outcome=(f"replica{ex.index} down; {requeued} retried, "
                      f"{lost} lost" if survivors

@@ -2,39 +2,53 @@
 utilization and rolling throughput.
 
 The collector is deliberately simulation-agnostic: the engine feeds it
-completion records, queue-depth samples and per-chip busy time in simulated
+completions, queue-depth samples and per-chip busy time in simulated
 milliseconds, and it reduces them into the metrics a serving operator
 watches (p50/p95/p99 latency, achieved vs offered throughput, utilization).
 ``report()`` renders everything with :class:`repro.analysis.tables.Table`
 so serving output visually matches the paper-artefact tables.
 
-Two ingestion modes share one set of reductions:
+Storage is one set of columns that either replay engine fills:
 
-- *record mode* — the scalar engine appends one :class:`RequestRecord`
-  per completion and one ``(t, depth)`` tuple per event;
-- *column mode* — the vectorized engine hands over whole NumPy columns
-  at once (:meth:`TelemetryCollector.ingest_columns`), and the familiar
-  ``records`` / ``queue_samples`` / ``batch_sizes`` views materialize
-  lazily on first access.
+- the scalar engine appends each completion's primitives (request id,
+  arrival, start, finish, executor index, batch size, priority, model)
+  and each event's ``(t, depth)`` queue sample to column lists through
+  bound ``append`` methods (:meth:`TelemetryCollector.appenders`);
+- the vectorized engine hands over whole NumPy columns at once
+  (:meth:`TelemetryCollector.ingest_columns`).
 
-Every reduction (``summary()``, percentiles, utilization) routes through
-the same value accessors in both modes, performing the identical
-floating-point operations on identical arrays — which is what lets the
-engine-equivalence harness demand *byte-identical* summaries from the
-two replay engines rather than "close enough" ones.
+A list column turns into a NumPy array the first time a reduction reads
+it, so every reduction (``summary()``, percentiles, utilization) performs
+the identical floating-point operations on identical float64 arrays
+whichever engine filled them — which is what lets the engine-equivalence
+harness demand *byte-identical* summaries from the two replay engines
+rather than "close enough" ones.  The ``records`` / ``queue_samples`` /
+``batch_sizes`` views are read-only and materialize on access.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..analysis.tables import Table
 from ..obs.slo import SLO, SLOReport
+from .trace import Request
 
-__all__ = ["RequestRecord", "TelemetryCollector"]
+__all__ = ["COMPLETION_FIELDS", "RequestRecord", "TelemetryCollector"]
+
+# Every column, with the element type a reduction reads it as.  The
+# completion fields come first, one row per completed request in
+# dispatch order (model tags stay strings); ``queue_ms``/``queue_depth``
+# hold one sample per engine event and ``dispatch_size`` one per batch.
+_COLUMNS = {"request_id": np.int64, "arrival_ms": np.float64,
+            "start_ms": np.float64, "finish_ms": np.float64,
+            "executor_index": np.int64, "batch_size": np.int64,
+            "priority": np.int64, "model": None, "queue_ms": np.float64,
+            "queue_depth": np.int64, "dispatch_size": np.int64}
+COMPLETION_FIELDS = tuple(_COLUMNS)[:8]
 
 
 @dataclass(frozen=True)
@@ -65,11 +79,21 @@ class RequestRecord:
 
 
 class TelemetryCollector:
-    """Accumulates serving events and reduces them to operator metrics."""
+    """Accumulates serving events and reduces them to operator metrics.
 
-    def __init__(self, num_chips: int = 1):
+    ``executor_chip_ids[e]`` is the chip set of replica group ``e``; the
+    completion columns store the executor index and the views map it
+    back to chip ids.
+    """
+
+    def __init__(self, num_chips: int = 1,
+                 executor_chip_ids: Sequence[Tuple[int, ...]] = ()):
         self.num_chips = num_chips
-        self._records: Optional[List[RequestRecord]] = []
+        self.executor_chip_ids: List[Tuple[int, ...]] = \
+            list(executor_chip_ids)
+        # A list while appended to, an array once read (see _array); the
+        # model column is None after a single-model ingest_columns.
+        self._cols: Dict[str, object] = {name: [] for name in _COLUMNS}
         self.rejected: List[int] = []
         self.failed: List[int] = []
         self.retried: List[int] = []
@@ -80,80 +104,80 @@ class TelemetryCollector:
         # (None otherwise, so summaries of plain runs are unchanged).
         self.resilience_events: List[Dict] = []
         self.resilience: Optional[Dict] = None
-        self._queue_samples: Optional[List[Tuple[float, int]]] = []
         self.chip_busy_ms: Dict[int, float] = {c: 0.0 for c in range(num_chips)}
-        self._batch_sizes: Optional[List[int]] = []
-        # Column mode (ingest_columns): completion columns keyed by
-        # field, plus event-time/queue-depth and batch-size columns.
-        # None in record mode; the list views above are None exactly
-        # when their columnar twin is the source of truth.
-        self._completed: Optional[Dict] = None
-        self._queue_cols: Optional[Tuple[np.ndarray, np.ndarray]] = None
-        self._batch_col: Optional[np.ndarray] = None
 
-    # ---- record/column views -----------------------------------------
+    # ---- columns ------------------------------------------------------
+    def _array(self, name: str) -> np.ndarray:
+        """Column ``name`` as an array; a list column is converted once
+        and kept in array form."""
+        col = self._cols[name]
+        if isinstance(col, list):
+            col = self._cols[name] = np.asarray(col, dtype=_COLUMNS[name])
+        return col
+
+    def _list(self, name: str) -> list:
+        """Column ``name`` as a new list of Python values."""
+        col = self._cols[name]
+        if col is None:         # single-model ingest: every tag is empty
+            return [""] * self.num_completed
+        return col.tolist() if isinstance(col, np.ndarray) else list(col)
+
+    def _writable(self, name: str) -> list:
+        """Column ``name`` as an appendable list (converted back from an
+        array if a reduction has read it)."""
+        col = self._cols[name]
+        if not isinstance(col, list):
+            col = self._cols[name] = self._list(name)
+        return col
+
+    def appenders(self, *names: str) -> Tuple[Callable, ...]:
+        """The bound ``append`` of each named column — the scalar
+        engine's write path, one call per field and no per-completion
+        object.  Bind them for one replay: the columns must not be read
+        as arrays until it has finished appending."""
+        return tuple(self._writable(name).append for name in names)
+
+    # ---- read-only views ----------------------------------------------
     @property
     def records(self) -> List[RequestRecord]:
-        """Completed-request records (materialized on demand from the
-        completion columns after a vectorized replay)."""
-        if self._records is None:
-            self._records = self._materialize_records()
-        return self._records
-
-    @records.setter
-    def records(self, value: List[RequestRecord]) -> None:
-        # An external overwrite (drop_records retracting in-flight work)
-        # makes the record list the only truth — drop the column backing
-        # rather than let reductions read stale columns.
-        self._records = list(value)
-        self._completed = None
+        """Completed-request records, materialized from the completion
+        columns on each access."""
+        return [RequestRecord(*row) for row in
+                zip(*self.completion_lists(), self._list("priority"),
+                    self._list("model"))]
 
     @property
     def queue_samples(self) -> List[Tuple[float, int]]:
-        if self._queue_samples is None:
-            times, depths = self._queue_cols
-            self._queue_samples = list(zip(times.tolist(), depths.tolist()))
-        return self._queue_samples
+        """One ``(t, depth)`` sample per engine event."""
+        return list(zip(self._list("queue_ms"), self._list("queue_depth")))
 
     @property
     def batch_sizes(self) -> List[int]:
-        if self._batch_sizes is None:
-            self._batch_sizes = self._batch_col.tolist()
-        return self._batch_sizes
+        """Size of every dispatched batch, in dispatch order."""
+        return self._list("dispatch_size")
 
     def completion_lists(self) -> Tuple[List, List, List, List, List, List]:
         """Per-field lists of the completed requests, dispatch order:
         ``(request_id, arrival_ms, start_ms, finish_ms, chip_ids,
-        batch_size)``.
-
-        Read straight off the completion columns after a vectorized
-        replay (no :class:`RequestRecord` is built), off the records
-        otherwise — the same Python values either way."""
-        cols = self._completed
-        if cols is None:
-            records = self._records
-            return ([r.request_id for r in records],
-                    [r.arrival_ms for r in records],
-                    [r.start_ms for r in records],
-                    [r.finish_ms for r in records],
-                    [r.chip_ids for r in records],
-                    [r.batch_size for r in records])
-        groups = cols["executor_chip_ids"]
-        return (cols["request_id"].tolist(), cols["arrival_ms"].tolist(),
-                cols["start_ms"].tolist(), cols["finish_ms"].tolist(),
-                [groups[e] for e in cols["executor_index"].tolist()],
-                cols["batch_size"].tolist())
-
-    def _materialize_records(self) -> List[RequestRecord]:
-        fields = self.completion_lists()
-        cols = self._completed
-        models = cols["model"] or ("",) * len(fields[0])
-        return [RequestRecord(*record) for record in
-                zip(*fields, cols["priority"].tolist(), models)]
+        batch_size)`` — the same Python values after either engine, and
+        no :class:`RequestRecord` is built."""
+        groups = self.executor_chip_ids
+        return (self._list("request_id"), self._list("arrival_ms"),
+                self._list("start_ms"), self._list("finish_ms"),
+                [groups[e] for e in self._list("executor_index")],
+                self._list("batch_size"))
 
     # ---- event ingestion ---------------------------------------------
     def record_completion(self, record: RequestRecord) -> None:
-        self._records.append(record)
+        """Append one completed request's fields to the columns."""
+        groups = self.executor_chip_ids
+        if record.chip_ids not in groups:
+            groups.append(record.chip_ids)
+        values = (record.request_id, record.arrival_ms, record.start_ms,
+                  record.finish_ms, groups.index(record.chip_ids),
+                  record.batch_size, record.priority, record.model)
+        for name, value in zip(COMPLETION_FIELDS, values):
+            self._writable(name).append(value)
 
     def ingest_columns(self, *,
                        arrival_ms: np.ndarray,
@@ -163,7 +187,6 @@ class TelemetryCollector:
                        priority: np.ndarray,
                        batch_size: np.ndarray,
                        executor_index: np.ndarray,
-                       executor_chip_ids: Tuple[Tuple[int, ...], ...],
                        model: Optional[Tuple[str, ...]] = None,
                        rejected_ids: Sequence[int] = (),
                        queue_times: Optional[np.ndarray] = None,
@@ -174,29 +197,43 @@ class TelemetryCollector:
         """Bulk ingestion of a whole replay (the vectorized engine's
         single call): completion columns ordered by dispatch, the
         per-event queue-depth series, per-batch sizes, and per-chip busy
-        totals.  The ``records`` / ``queue_samples`` / ``batch_sizes``
-        views materialize lazily from these columns, so a million-request
-        replay only ever builds objects a consumer actually reads.
+        totals.  The arrays become the columns as they are, so a
+        million-request replay only ever builds the objects a consumer
+        of the views actually reads.
         """
-        self._completed = {
-            "arrival_ms": arrival_ms, "start_ms": start_ms,
-            "finish_ms": finish_ms, "request_id": request_id,
-            "priority": priority, "batch_size": batch_size,
-            "executor_index": executor_index,
-            "executor_chip_ids": executor_chip_ids, "model": model,
-        }
-        self._records = None
+        self._cols.update(
+            arrival_ms=arrival_ms, start_ms=start_ms, finish_ms=finish_ms,
+            request_id=request_id, priority=priority,
+            batch_size=batch_size, executor_index=executor_index,
+            model=model)
         self.rejected.extend(rejected_ids)
         if queue_times is not None:
-            self._queue_cols = (queue_times, queue_depths)
-            self._queue_samples = None
+            self._cols.update(queue_ms=queue_times, queue_depth=queue_depths)
         if batch_sizes is not None:
-            self._batch_col = batch_sizes
-            self._batch_sizes = None
-        if chip_busy_ms:
-            for chip, busy in chip_busy_ms.items():
-                self.chip_busy_ms[chip] = \
-                    self.chip_busy_ms.get(chip, 0.0) + busy
+            self._cols["dispatch_size"] = batch_sizes
+        for chip, busy in (chip_busy_ms or {}).items():
+            self.record_chip_busy(chip, busy)
+
+    def retract(self, executor_index: int, after_ms: float) -> List[Request]:
+        """Remove the completions executor ``executor_index`` would emit
+        after ``after_ms`` — work in flight on a replica that just died,
+        whose images never made it out — and return them as requests,
+        oldest ``(arrival_ms, request_id)`` first.
+
+        Runs mid-replay, so it filters the column lists in place and the
+        engine's bound appenders stay valid."""
+        cols = [self._writable(name) for name in COMPLETION_FIELDS]
+        ids, arrival, _, finish, owner, _, priority, model = cols
+        doomed = [k for k, e in enumerate(owner)
+                  if e == executor_index and finish[k] > after_ms]
+        requests = [Request(request_id=ids[k], arrival_ms=arrival[k],
+                            priority=priority[k], model=model[k])
+                    for k in sorted(doomed,
+                                    key=lambda k: (arrival[k], ids[k]))]
+        for col in cols:
+            for k in reversed(doomed):
+                del col[k]
+        return requests
 
     def record_rejection(self, request_id: int) -> None:
         """A request shed because the bounded queue was full."""
@@ -225,77 +262,52 @@ class TelemetryCollector:
         and the ``serve.faults.*`` cross-checks stay untouched."""
         self.resilience_events.append(event)
 
-    def drop_records(self, records: List[RequestRecord]) -> None:
-        """Retract completion records for requests that were in flight
-        on a failed replica — their images never made it out."""
-        doomed = {id(r) for r in records}
-        self.records = [r for r in self.records if id(r) not in doomed]
-
     def record_queue_depth(self, now_ms: float, depth: int) -> None:
-        self._queue_samples.append((now_ms, depth))
+        self._writable("queue_ms").append(now_ms)
+        self._writable("queue_depth").append(depth)
 
     def record_chip_busy(self, chip_id: int, busy_ms: float) -> None:
         self.chip_busy_ms[chip_id] = \
             self.chip_busy_ms.get(chip_id, 0.0) + busy_ms
 
     def record_batch(self, batch_size: int) -> None:
-        self._batch_sizes.append(batch_size)
+        self._writable("dispatch_size").append(batch_size)
 
     # ---- value accessors ----------------------------------------------
-    # Both ingestion modes answer through these, performing the same
-    # floating-point operations on the same float64 values in the same
-    # order — the bit-for-bit contract the equivalence harness pins.
+    # Every reduction reads the columns through these, so the same
+    # floating-point operations run on the same float64 values in the
+    # same order after either engine — the bit-for-bit contract the
+    # equivalence harness pins.
     def latency_values(self) -> np.ndarray:
         """End-to-end latency per completed request (dispatch order)."""
-        if self._completed is not None:
-            return self._completed["finish_ms"] - self._completed["arrival_ms"]
-        return np.array([r.latency_ms for r in self._records])
+        return self._array("finish_ms") - self._array("arrival_ms")
 
     def wait_values(self) -> np.ndarray:
         """Queueing delay per completed request (dispatch order)."""
-        if self._completed is not None:
-            return self._completed["start_ms"] - self._completed["arrival_ms"]
-        return np.array([r.wait_ms for r in self._records])
+        return self._array("start_ms") - self._array("arrival_ms")
 
     def service_values(self) -> np.ndarray:
         """Chip service time per completed request (dispatch order)."""
-        if self._completed is not None:
-            return self._completed["finish_ms"] - self._completed["start_ms"]
-        return np.array([r.service_ms for r in self._records])
-
-    def finish_values(self) -> np.ndarray:
-        if self._completed is not None:
-            return self._completed["finish_ms"]
-        return np.array([r.finish_ms for r in self._records])
+        return self._array("finish_ms") - self._array("start_ms")
 
     def queue_depth_values(self) -> np.ndarray:
-        if self._queue_samples is None:
-            return self._queue_cols[1]
-        return np.array([d for _, d in self._queue_samples], dtype=np.int64)
+        return self._array("queue_depth")
 
     def batch_size_values(self) -> np.ndarray:
-        if self._batch_sizes is None:
-            return self._batch_col
-        return np.array(self._batch_sizes, dtype=np.int64)
+        return self._array("dispatch_size")
 
     @property
     def num_batches(self) -> int:
-        if self._batch_sizes is None:
-            return int(self._batch_col.shape[0])
-        return len(self._batch_sizes)
+        return len(self._cols["dispatch_size"])
 
     @property
     def num_queue_samples(self) -> int:
-        if self._queue_samples is None:
-            return int(self._queue_cols[0].shape[0])
-        return len(self._queue_samples)
+        return len(self._cols["queue_depth"])
 
     # ---- reductions ---------------------------------------------------
     @property
     def num_completed(self) -> int:
-        if self._records is not None:
-            return len(self._records)
-        return int(self._completed["finish_ms"].shape[0])
+        return len(self._cols["finish_ms"])
 
     @property
     def num_rejected(self) -> int:
@@ -320,13 +332,8 @@ class TelemetryCollector:
         """First arrival to last completion."""
         if not self.num_completed:
             return 0.0
-        if self._completed is not None:
-            first = float(self._completed["arrival_ms"].min())
-            last = float(self._completed["finish_ms"].max())
-        else:
-            first = min(r.arrival_ms for r in self._records)
-            last = max(r.finish_ms for r in self._records)
-        return last - first
+        return (float(self._array("finish_ms").max())
+                - float(self._array("arrival_ms").min()))
 
     def latency_percentile(self, q: float) -> float:
         """Latency percentile over completed requests (q in [0, 100])."""
@@ -395,11 +402,8 @@ class TelemetryCollector:
         """
         if not self.num_completed or window_ms <= 0:
             return []
-        finishes = self.finish_values()
-        if self._completed is not None:
-            start = float(self._completed["arrival_ms"].min())
-        else:
-            start = min(r.arrival_ms for r in self._records)
+        finishes = self._array("finish_ms")
+        start = float(self._array("arrival_ms").min())
         # Bucket k covers (start + k*w, start + (k+1)*w]; ceil maps an
         # exact-edge finish into the bucket that ends there, and finishes
         # at (or numerically before) `start` clamp into bucket 0.

@@ -30,6 +30,8 @@ __all__ = ["Request", "TraceArrays", "arrays_from_requests",
            "synthetic_trace", "synthetic_trace_arrays",
            "save_trace", "load_trace"]
 
+_INF = float("inf")
+
 
 @dataclass(frozen=True)
 class Request:
@@ -58,8 +60,9 @@ class Request:
     model: str = ""
 
     def __post_init__(self):
-        if self.arrival_ms < 0:
-            raise ValueError("arrival_ms must be >= 0")
+        # NaN fails both comparisons; inf would never let a replay end.
+        if not 0.0 <= self.arrival_ms < _INF:
+            raise ValueError("arrival_ms must be finite and >= 0")
 
 
 @dataclass(frozen=True)
@@ -91,6 +94,11 @@ class TraceArrays:
             raise ValueError("trace columns must share one length")
         if self.model is not None and len(self.model) != n:
             raise ValueError("model column must match the trace length")
+        # The same rule as Request, once over the column (a NaN makes
+        # min() NaN, which fails the comparison).
+        if n and not (0.0 <= self.arrival_ms.min()
+                      and self.arrival_ms.max() < _INF):
+            raise ValueError("arrival_ms must be finite and >= 0")
 
     def __len__(self) -> int:
         return int(self.arrival_ms.shape[0])

@@ -1,10 +1,10 @@
 """Event-vectorized trace replay: whole-trace array passes.
 
 The scalar :meth:`~repro.serve.engine.ServingEngine.serve` loop walks one
-``Request`` object at a time through scheduler heaps and telemetry
-records — faithful, but a million-request day costs minutes of pure
-Python dispatch.  This module replays the *same* discrete-event process
-in two phases sized for web-scale traces:
+``Request`` object at a time through scheduler heaps and per-completion
+telemetry appends — faithful, but a million-request day costs minutes
+of pure Python dispatch.  This module replays the *same* discrete-event
+process in two phases sized for web-scale traces:
 
 - **Phase A** (:func:`_replay_events`): one pass over the event
   timeline using primitive lists only.  With the vectorizable subset of
@@ -277,12 +277,14 @@ def replay_vectorized(engine, requests: Union[Sequence[Request],
     million ``Request`` objects).  The caller
     (:meth:`ServingEngine.serve` with the vectorized engine selected)
     guarantees the vectorizable subset: FIFO policy, no fault plan, no
-    resilience runtime.  Returns a :class:`TelemetryCollector` in column
-    mode whose ``summary()`` is byte-identical to the scalar engine's.
+    resilience runtime.  Returns a :class:`TelemetryCollector` holding
+    the replay's columns, whose ``summary()`` is byte-identical to the
+    scalar engine's.
     """
     trace = (requests if isinstance(requests, TraceArrays)
              else arrays_from_requests(requests))
-    telemetry = TelemetryCollector(num_chips=engine.config.num_chips)
+    telemetry = TelemetryCollector(engine.config.num_chips,
+                                   [ex.chip_ids for ex in engine.executors])
     for ex in engine.executors:
         ex.reset()
     n = len(trace)
@@ -350,7 +352,6 @@ def replay_vectorized(engine, requests: Union[Sequence[Request],
         priority=trace.priority[acc_idx],
         batch_size=np.repeat(bs_np, bs_np),
         executor_index=np.repeat(bx_np, bs_np),
-        executor_chip_ids=tuple(ex.chip_ids for ex in engine.executors),
         model=model,
         rejected_ids=trace.request_id[
             np.asarray(rej, dtype=np.int64)].tolist(),

@@ -99,3 +99,14 @@ def test_serve_ab_operating_points_runs_and_checks_structure():
                            FAST_ONE_SHOT)
     assert result.unit == "requests"
     assert result.counters["requests_offered"] == result.items
+
+
+def test_serve_trace_replay_1m_budget_scales_with_replayed_count():
+    """Fast mode replays 200k requests, so the 30 s-per-million budget is
+    6 s there; it is asserted in both modes and recorded as a counter."""
+    registry = load_suites()
+    result = run_benchmark(registry.get("serve.trace_replay_1m"),
+                           FAST_ONE_SHOT)
+    assert result.items == 200_000
+    assert result.counters["budget_s"] == 6.0
+    assert result.counters["replay_s"] < result.counters["budget_s"]

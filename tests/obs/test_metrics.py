@@ -136,6 +136,43 @@ class TestHistogram:
         assert h.quantile(0.5) == pytest.approx(
             float(np.median(data)), rel=0.02)
 
+    def test_observe_many_matches_unshared_reference(self):
+        """Bucket counts equal a per-value binary search, and every P²
+        estimator ends exactly where its own ``observe_bulk`` (no shared
+        sketch) takes it — fresh, raw-sample and summarized estimators,
+        ties on bucket bounds, infinities, NaN, strided batches."""
+        rng = np.random.default_rng(8)
+        buckets = (0.0, 1.0, 5.0, 10.0, 50.0)
+        for _ in range(120):
+            n = int(rng.choice([1, 4, 5, 6, 300, P2_SAMPLE_CAP + 3,
+                                3 * P2_SAMPLE_CAP]))
+            data = rng.integers(-2, 60, n).astype(float)
+            data[rng.integers(0, n)] = rng.choice(
+                [np.inf, -np.inf, np.nan, -0.0])
+            warm = rng.gamma(2.0, 5.0, size=int(rng.choice([0, 3, 9])))
+            h = Histogram("h", buckets=buckets)
+            refs = {q: P2Quantile(q) for q in h._quantiles}
+            for v in warm.tolist():
+                h.observe(v)
+                for ref in refs.values():
+                    ref.observe(v)
+            expected = list(h.bucket_counts)
+            index = np.searchsorted(buckets, data, side="left")
+            for i, count in enumerate(np.bincount(index, minlength=6)):
+                expected[i] += int(count)
+            sample = data
+            if n > P2_SAMPLE_CAP:
+                sample = data[:: int(np.ceil(n / P2_SAMPLE_CAP))]
+            with np.errstate(invalid="ignore"):    # inf - inf in quantiles
+                for ref in refs.values():
+                    ref.observe_bulk(sample)
+                h.observe_many(data)
+            assert h.bucket_counts == expected
+            for q, est in h._quantiles.items():
+                assert repr((est.count, est._heights, est._positions)) == \
+                    repr((refs[q].count, refs[q]._heights,
+                          refs[q]._positions))
+
     def test_untracked_quantile_interpolates_buckets(self):
         h = Histogram("lat", buckets=(10.0, 20.0), quantiles=(0.5,))
         for v in (2.0, 4.0, 12.0, 18.0):

@@ -320,8 +320,9 @@ class TestArmedModeFallback:
 
 
 class TestSpanParity:
-    """The spans synthesized from the vectorized engine's completion
-    columns equal those synthesized from the scalar oracle's records."""
+    """The spans synthesized from the completion columns the vectorized
+    engine ingests equal those from the columns the scalar oracle
+    appends."""
 
     @staticmethod
     def assert_same_spans(engine, trace):

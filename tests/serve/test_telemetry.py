@@ -3,7 +3,12 @@
 import numpy as np
 import pytest
 
-from repro.serve.telemetry import RequestRecord, TelemetryCollector
+from repro.serve.telemetry import (
+    COMPLETION_FIELDS,
+    RequestRecord,
+    TelemetryCollector,
+)
+from repro.serve.trace import Request
 
 
 def record(i, arrival, start, finish, chip=0, batch=1):
@@ -206,3 +211,95 @@ class TestPresentation:
                                              availability=0.9))
         assert "SLO attainment" in text
         assert "p99 latency" in text
+
+
+class TestColumns:
+    """The completion columns are the only storage; the record, queue
+    and batch views are read-only and built from them."""
+
+    def test_views_round_trip_the_appended_fields(self):
+        telemetry = TelemetryCollector(num_chips=2)
+        recs = [RequestRecord(request_id=i, arrival_ms=float(i),
+                              start_ms=i + 0.5, finish_ms=i + 2.0,
+                              chip_ids=(i % 2,), batch_size=2,
+                              priority=i % 3, model=f"m{i % 2}")
+                for i in range(6)]
+        for rec in recs:
+            telemetry.record_completion(rec)
+        telemetry.record_queue_depth(0.0, 3)
+        telemetry.record_batch(2)
+        assert telemetry.records == recs
+        assert telemetry.executor_chip_ids == [(0,), (1,)]
+        assert telemetry.queue_samples == [(0.0, 3)]
+        assert telemetry.batch_sizes == [2]
+
+    def test_views_are_read_only(self):
+        telemetry = TelemetryCollector()
+        for view in ("records", "queue_samples", "batch_sizes"):
+            with pytest.raises(AttributeError):
+                setattr(telemetry, view, [])
+
+    def test_append_after_a_read_keeps_every_row(self):
+        telemetry = TelemetryCollector(num_chips=1)
+        telemetry.record_completion(record(0, 0.0, 0.0, 10.0))
+        assert telemetry.latency_percentile(50.0) == 10.0
+        telemetry.record_completion(record(1, 0.0, 0.0, 30.0))
+        assert telemetry.num_completed == 2
+        assert telemetry.latency_percentile(50.0) == 20.0
+        assert [r.request_id for r in telemetry.records] == [0, 1]
+
+    def test_appenders_write_the_columns(self):
+        telemetry = TelemetryCollector(num_chips=1,
+                                       executor_chip_ids=[(0,)])
+        appends = telemetry.appenders(*COMPLETION_FIELDS)
+        for value, append in zip((7, 1.0, 2.0, 5.0, 0, 1, 2, "m"),
+                                 appends):
+            append(value)
+        assert telemetry.records == [RequestRecord(
+            request_id=7, arrival_ms=1.0, start_ms=2.0, finish_ms=5.0,
+            chip_ids=(0,), batch_size=1, priority=2, model="m")]
+
+    def test_retract_filters_in_place_oldest_first(self):
+        telemetry = TelemetryCollector(num_chips=2,
+                                       executor_chip_ids=[(0,), (1,)])
+        appends = telemetry.appenders(*COMPLETION_FIELDS)
+        # (id, arrival, finish, executor): ids 3 and 1 are in flight on
+        # executor 0 past t=10, ids 4 and 6 finish in time (6 exactly at
+        # t=10), 2 is elsewhere
+        for rid, arrival, finish, executor in [(4, 0.0, 9.0, 0),
+                                               (6, 0.5, 10.0, 0),
+                                               (3, 2.0, 12.0, 0),
+                                               (2, 1.0, 13.0, 1),
+                                               (1, 2.0, 14.0, 0)]:
+            for value, append in zip((rid, arrival, 0.5, finish, executor,
+                                      1, rid % 2, f"m{rid}"), appends):
+                append(value)
+        retracted = telemetry.retract(0, 10.0)
+        assert retracted == [Request(request_id=1, arrival_ms=2.0,
+                                     priority=1, model="m1"),
+                             Request(request_id=3, arrival_ms=2.0,
+                                     priority=1, model="m3")]
+        assert [r.request_id for r in telemetry.records] == [4, 6, 2]
+        # the bound appenders still feed the (filtered) columns
+        for value, append in zip((5, 3.0, 3.0, 15.0, 1, 1, 1, ""),
+                                 appends):
+            append(value)
+        assert [r.request_id for r in telemetry.records] == [4, 6, 2, 5]
+        assert telemetry.retract(0, 10.0) == []
+
+    def test_single_model_ingest_has_empty_tags(self):
+        telemetry = TelemetryCollector(num_chips=1,
+                                       executor_chip_ids=[(0,)])
+        telemetry.ingest_columns(
+            arrival_ms=np.array([0.0, 1.0]), start_ms=np.array([1.0, 1.0]),
+            finish_ms=np.array([2.0, 3.0]),
+            request_id=np.array([0, 1], dtype=np.int64),
+            priority=np.zeros(2, dtype=np.int64),
+            batch_size=np.array([2, 2], dtype=np.int64),
+            executor_index=np.zeros(2, dtype=np.int64),
+            queue_times=np.array([0.0, 1.0]),
+            queue_depths=np.array([1, 0], dtype=np.int64),
+            batch_sizes=np.array([2], dtype=np.int64))
+        assert [r.model for r in telemetry.records] == ["", ""]
+        assert telemetry.queue_samples == [(0.0, 1), (1.0, 0)]
+        assert telemetry.summary()["completed"] == 2.0

@@ -1,5 +1,7 @@
 """Tests for request traces (repro.serve.trace)."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -119,3 +121,46 @@ class TestTraceArrays:
             TraceArrays(arrival_ms=np.zeros(3),
                         request_id=np.arange(2, dtype=np.int64),
                         priority=np.zeros(3, dtype=np.int64))
+
+
+BAD_ARRIVALS = pytest.mark.parametrize(
+    "bad", [float("nan"), float("inf"), -1.0], ids=["nan", "inf", "neg"])
+
+
+class TestArrivalValidation:
+    """Arrivals must be finite and >= 0, checked when the trace is built
+    in the form each engine consumes.  Left unchecked, a NaN arrival
+    hangs both replay loops, an infinite one grows the vectorized event
+    pass until the process runs out of memory, and a negative one was
+    accepted by the column form although the object form rejected it."""
+
+    @BAD_ARRIVALS
+    def test_scalar_engine_input(self, bad):
+        with pytest.raises(ValueError, match="finite and >= 0"):
+            Request(request_id=1, arrival_ms=bad)
+
+    @BAD_ARRIVALS
+    def test_vectorized_engine_input(self, bad):
+        with pytest.raises(ValueError, match="finite and >= 0"):
+            TraceArrays(arrival_ms=np.array([0.5, bad, 2.0]),
+                        request_id=np.arange(3, dtype=np.int64),
+                        priority=np.zeros(3, dtype=np.int64))
+
+    @BAD_ARRIVALS
+    def test_trace_file(self, tmp_path, bad):
+        path = tmp_path / "t.json"
+        path.write_text(json.dumps({"requests": [
+            {"id": 0, "arrival_ms": 1.0}, {"id": 1, "arrival_ms": bad}]}))
+        with pytest.raises(ValueError, match="finite and >= 0"):
+            load_trace(path)
+
+    def test_boundaries_accepted(self):
+        assert Request(request_id=0, arrival_ms=0.0).arrival_ms == 0.0
+        arrays = TraceArrays(arrival_ms=np.array([0.0, 1e300]),
+                             request_id=np.arange(2, dtype=np.int64),
+                             priority=np.zeros(2, dtype=np.int64))
+        assert len(arrays) == 2
+        empty = TraceArrays(arrival_ms=np.zeros(0),
+                            request_id=np.zeros(0, dtype=np.int64),
+                            priority=np.zeros(0, dtype=np.int64))
+        assert len(empty) == 0
