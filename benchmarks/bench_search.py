@@ -1,6 +1,6 @@
 """Benchmark: evolutionary search convergence (Algorithm 1 ablation).
 
-DESIGN.md calls out the search as a design choice worth ablating: how much
+The search is a design choice worth ablating: how much
 does the evolutionary loop improve over (a) the best uniform design and
 (b) a random-sampling baseline with the same evaluation budget?
 """

@@ -30,7 +30,7 @@ def test_table2_quantization_ablation(benchmark, workbench, preset):
     # method does not lose to naive quantization, and at least one of the
     # two proposed adjustments strictly beats it.  Individual columns are
     # volatile at 3 bits on the small substrate (per-tile min/max ranges
-    # swing with outliers; see EXPERIMENTS.md); the strictly monotone
+    # swing with outliers); the strictly monotone
     # mechanism-level ordering is asserted deterministically in
     # test_table2_static_quant_error_ordering below.
     ptq = result.ptq_accuracies

@@ -9,8 +9,8 @@ experiment is executed once and its real wall time recorded (re-running a
 multi-minute training sweep for statistics would be pointless).
 
 The accuracy preset defaults to ``smoke`` so the whole harness finishes in
-a few minutes; set ``REPRO_PRESET=default`` (or ``full``) to regenerate the
-EXPERIMENTS.md-quality numbers.
+a few minutes; set ``REPRO_PRESET=default`` (or ``full``) for the larger
+tasks and longer schedules of ``repro.analysis.accuracy.PRESETS``.
 """
 
 import os

@@ -24,8 +24,9 @@ from repro.nn.training import TrainConfig
 
 
 def main():
-    # 1. Data: a deterministic synthetic stand-in for ImageNet (see
-    #    DESIGN.md section 2 for why this preserves the paper's rankings).
+    # 1. Data: a deterministic synthetic stand-in for ImageNet (the
+    #    repro.data.synthetic docstring explains why this preserves the
+    #    paper's rankings).
     train_set, val_set = make_synthetic_classification(
         num_train=1024, num_val=256, num_classes=8, image_size=16,
         noise=1.0)

@@ -1,9 +1,9 @@
 """Accuracy-side experiments on the trainable substrate.
 
 The paper's accuracy columns come from ImageNet training; here they come
-from the synthetic classification task (DESIGN.md section 2) on scaled
-ResNets.  What must carry over is the *ranking* between configurations, not
-the absolute top-1 — EXPERIMENTS.md records both sides.
+from the synthetic classification task (:mod:`repro.data.synthetic`) on
+scaled ResNets.  What must carry over is the *ranking* between
+configurations, not the absolute top-1.
 
 :class:`AccuracyWorkbench` owns the datasets and caches trained
 checkpoints, so Table 1/2/3 rows that share a training run (e.g. every
@@ -14,7 +14,7 @@ Presets control cost:
 
 - ``smoke``   — seconds; used by the integration tests;
 - ``default`` — a few minutes; used by the benchmark harness;
-- ``full``    — tens of minutes; the numbers recorded in EXPERIMENTS.md.
+- ``full``    — tens of minutes; the largest task and longest schedules.
 """
 
 from __future__ import annotations

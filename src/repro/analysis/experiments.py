@@ -2,13 +2,13 @@
 
 Each runner returns structured data *and* prints a paper-style table via
 :mod:`repro.analysis.tables`, so the benchmark harness
-(``benchmarks/bench_table*.py`` / ``bench_figure*.py``) and EXPERIMENTS.md
-share one source of truth.
+(``benchmarks/bench_table*.py`` / ``bench_figure*.py``) and the
+``python -m repro`` commands share one source of truth.
 
 Hardware columns are exact (full-size ResNet-50/101 shapes); accuracy
 columns come from the synthetic-task workbench at a chosen preset (see
-:mod:`repro.analysis.accuracy` and DESIGN.md section 2 on the ImageNet
-substitution).
+:mod:`repro.analysis.accuracy` and :mod:`repro.data.synthetic` on the
+ImageNet substitution).
 """
 
 from __future__ import annotations

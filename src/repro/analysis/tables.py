@@ -2,7 +2,7 @@
 
 Every benchmark prints its table/figure data with these helpers so the
 output visually parallels the paper's Tables 1-3 and the Figure 3/4 series,
-making paper-vs-measured comparison (EXPERIMENTS.md) mechanical.
+making paper-vs-measured comparison mechanical.
 """
 
 from __future__ import annotations

@@ -4,7 +4,7 @@ An *epitome* (paper section 2.2, Eq. 1) is a small learnable 4-D tensor
 ``E[eo, ei, eh, ew]`` together with a sampler that repeatedly extracts
 sub-tensors and concatenates them into a full convolution weight
 ``W[co, ci, kh, kw]``.  The paper leaves the sampling schedule abstract; we
-implement the concrete schedule described in DESIGN.md section 4:
+implement this concrete schedule:
 
 - **output channels** are tiled with period ``eo`` (every tile samples
   epitome columns ``[0, eo)``), which makes output-channel tiles identical —

@@ -1,6 +1,6 @@
 """repro.data — deterministic synthetic datasets (the ImageNet stand-in).
 
-See DESIGN.md section 2 for why a procedural texture task preserves the
+See :mod:`repro.data.synthetic` for why a procedural texture task preserves the
 accuracy *rankings* that the paper's ImageNet experiments measure.
 """
 

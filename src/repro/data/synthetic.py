@@ -1,11 +1,11 @@
 """Deterministic synthetic image datasets — the offline ImageNet stand-in.
 
 The paper's accuracy numbers come from ImageNet, which is unavailable here.
-Per the substitution rule (DESIGN.md section 2) we generate a *learnable*
-classification task that preserves what the experiments actually measure:
-the accuracy RANKING across configurations (FP32 > epitome FP32 > low-bit
-quantized; epitome-aware quantization > naive quantization; epitome >
-aggressive pruning at matched compression).
+In its place we generate a *learnable* classification task that preserves
+what the experiments actually measure: the accuracy RANKING across
+configurations (FP32 > epitome FP32 > low-bit quantized; epitome-aware
+quantization > naive quantization; epitome > aggressive pruning at matched
+compression).
 
 Each class is a procedural texture: a class-specific mixture of oriented
 sinusoidal gratings and a Gaussian colour blob, perturbed per-sample by

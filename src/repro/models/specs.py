@@ -6,7 +6,8 @@ trained weights.  This module provides :class:`LayerSpec` records for every
 weight layer of torchvision-equivalent ResNet-18/34/50/101 at 224x224 input,
 which feed the PIM simulator and the epitome designer directly, so the
 full-size networks are modelled exactly even though they are too large to
-*train* in this environment (see DESIGN.md section 2).
+*train* on the NumPy substrate (the accuracy experiments train scaled
+ResNets on the synthetic task of :mod:`repro.data.synthetic` instead).
 """
 
 from __future__ import annotations

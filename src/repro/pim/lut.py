@@ -12,8 +12,7 @@ calibration factors so that the modelled ResNet-50 FP32 baseline lands in
 the same decade as the paper's Table 1 row (139.8 ms / 214.0 mJ).  Absolute
 ms/mJ are NOT claims of device accuracy — the reproduction contract is that
 *relative* numbers (who wins, by what factor) are structural, and those are
-independent of the two scale factors.  EXPERIMENTS.md records both paper and
-measured values side by side.
+independent of the two scale factors.
 
 All latencies are nanoseconds, energies picojoules, areas um^2.
 """

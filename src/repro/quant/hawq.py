@@ -8,7 +8,7 @@ layers under a global size budget.
 HAWQ needs per-layer Hessian *trace* estimates.  The reference
 implementation uses double-backward Hessian-vector products; our autograd
 is single-backward, so we use the mathematically equivalent
-finite-difference HVP (a standard substitution, see DESIGN.md):
+finite-difference HVP (a standard substitution):
 
     H v  ~=  (grad(w + eps*v) - grad(w - eps*v)) / (2*eps)
 

@@ -46,7 +46,7 @@ from ..search.pareto import select_index
 from .engine import ServingConfig, ServingEngine
 from .scheduler import SchedulerConfig
 from .sharding import recommended_chips
-from .trace import Request, synthetic_trace
+from .trace import REPLAY_ORDER, Request, synthetic_trace
 
 __all__ = [
     "SEARCH_RESULT_SCHEMA",
@@ -455,7 +455,7 @@ def ab_offered_load_sweep(engines: Mapping[str, ServingEngine],
 
         scenario = get_scenario(scenario)
     if trace is not None:
-        replay = sorted(trace, key=lambda r: (r.arrival_ms, r.request_id))
+        replay = sorted(trace, key=REPLAY_ORDER)
         if not replay:
             raise ValueError("cannot A/B an empty trace")
         span_ms = replay[-1].arrival_ms - replay[0].arrival_ms

@@ -40,7 +40,7 @@ from .scenarios.faults import FaultPlan, ResolvedFault, parse_faults
 from .scheduler import Batch, MicroBatchScheduler, SchedulerConfig
 from .sharding import ShardPlan, plan_sharding
 from .telemetry import COMPLETION_FIELDS, TelemetryCollector
-from .trace import Request, TraceArrays
+from .trace import REPLAY_ORDER, Request, TraceArrays
 from .vectorized import replay_vectorized
 
 __all__ = ["ServingConfig", "ServingEngine", "DEFAULT_WIPE_STALL_FACTOR",
@@ -446,8 +446,7 @@ class ServingEngine:
 
         if isinstance(requests, TraceArrays):
             requests = requests.materialize()
-        trace = sorted(requests,
-                       key=lambda r: (r.arrival_ms, r.request_id))
+        trace = sorted(requests, key=REPLAY_ORDER)
         scheduler = MicroBatchScheduler(self.config.scheduler)
         telemetry = TelemetryCollector(self.config.num_chips,
                                        [ex.chip_ids for ex in self.executors])

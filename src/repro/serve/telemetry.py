@@ -35,7 +35,7 @@ import numpy as np
 
 from ..analysis.tables import Table
 from ..obs.slo import SLO, SLOReport
-from .trace import Request
+from .trace import REPLAY_ORDER, Request
 
 __all__ = ["COMPLETION_FIELDS", "RequestRecord", "TelemetryCollector"]
 
@@ -226,10 +226,8 @@ class TelemetryCollector:
         ids, arrival, _, finish, owner, _, priority, model = cols
         doomed = [k for k, e in enumerate(owner)
                   if e == executor_index and finish[k] > after_ms]
-        requests = [Request(request_id=ids[k], arrival_ms=arrival[k],
-                            priority=priority[k], model=model[k])
-                    for k in sorted(doomed,
-                                    key=lambda k: (arrival[k], ids[k]))]
+        requests = sorted((Request(ids[k], arrival[k], priority[k], model[k])
+                           for k in doomed), key=REPLAY_ORDER)
         for col in cols:
             for k in reversed(doomed):
                 del col[k]
@@ -346,24 +344,25 @@ class TelemetryCollector:
                 "p95": self.latency_percentile(95.0),
                 "p99": self.latency_percentile(99.0)}
 
-    def _component_percentiles(self, attr: str) -> Dict[str, float]:
-        """p50/p95/p99/mean over one latency component (wait or service)."""
+    def _latency_stats(self) -> Tuple[Dict[str, float], ...]:
+        """p50/p95/p99/mean of end-to-end latency, wait (arrival ->
+        dispatch) and service (dispatch -> completion): each column
+        computed once, its three percentiles read from one
+        ``np.percentile`` call — bit-identical to one call per quantile
+        (tests/serve/test_telemetry.py pins that)."""
         if not self.num_completed:
-            nan = float("nan")
-            return {"p50": nan, "p95": nan, "p99": nan, "mean": nan}
-        values = (self.wait_values() if attr == "wait_ms"
-                  else self.service_values())
-        p50, p95, p99 = np.percentile(values, [50.0, 95.0, 99.0])
-        return {"p50": float(p50), "p95": float(p95), "p99": float(p99),
-                "mean": float(np.mean(values))}
-
-    def wait_percentiles(self) -> Dict[str, float]:
-        """Queueing delay (arrival -> dispatch) percentiles + mean."""
-        return self._component_percentiles("wait_ms")
-
-    def service_percentiles(self) -> Dict[str, float]:
-        """Chip time (dispatch -> completion) percentiles + mean."""
-        return self._component_percentiles("service_ms")
+            nan = {"p50": float("nan"), "p95": float("nan"),
+                   "p99": float("nan"), "mean": float("nan")}
+            return nan, dict(nan), dict(nan)
+        arrival = self._array("arrival_ms")
+        start = self._array("start_ms")
+        finish = self._array("finish_ms")
+        stats = []
+        for values in (finish - arrival, start - arrival, finish - start):
+            p50, p95, p99 = np.percentile(values, [50.0, 95.0, 99.0])
+            stats.append({"p50": float(p50), "p95": float(p95),
+                          "p99": float(p99), "mean": float(np.mean(values))})
+        return tuple(stats)
 
     def mean_latency_ms(self) -> float:
         if not self.num_completed:
@@ -470,9 +469,7 @@ class TelemetryCollector:
         completions) are ``None``, not NaN — the output must stay valid
         JSON for strict consumers (jq, JSON.parse).
         """
-        pct = self.latency_percentiles()
-        wait = self.wait_percentiles()
-        service = self.service_percentiles()
+        pct, wait, service = self._latency_stats()
         out = {
             "completed": float(self.num_completed),
             "rejected": float(self.num_rejected),
@@ -483,7 +480,7 @@ class TelemetryCollector:
             "availability": self.availability(),
             "makespan_ms": self.makespan_ms,
             "throughput_fps": self.throughput_fps(),
-            "latency_mean_ms": self.mean_latency_ms(),
+            "latency_mean_ms": pct["mean"],
             "latency_p50_ms": pct["p50"],
             "latency_p95_ms": pct["p95"],
             "latency_p99_ms": pct["p99"],
@@ -508,7 +505,9 @@ class TelemetryCollector:
             for key, value in self.resilience.items():
                 out[f"resilience_{key}"] = value
         if slo is not None:
-            out.update(self.slo_attainment(slo).as_dict())
+            out.update(slo.evaluate(p99_ms=pct["p99"],
+                                    availability=out["availability"]
+                                    ).as_dict())
         return {key: None if isinstance(value, float) and np.isnan(value)
                 else value
                 for key, value in out.items()}
@@ -516,13 +515,10 @@ class TelemetryCollector:
     def report(self, slo: Optional["SLO"] = None) -> str:
         """Operator-facing text report (latency, throughput, chips, and —
         with ``slo`` — attainment)."""
-        pct = self.latency_percentiles()
-        wait = self.wait_percentiles()
-        service = self.service_percentiles()
+        pct, wait, service = self._latency_stats()
         latency = Table(["metric", "total", "wait", "service"],
                         title="request latency (ms; total = wait + service)")
-        latency.add_row("mean", self.mean_latency_ms(), wait["mean"],
-                        service["mean"])
+        latency.add_row("mean", pct["mean"], wait["mean"], service["mean"])
         latency.add_row("p50", pct["p50"], wait["p50"], service["p50"])
         latency.add_row("p95", pct["p95"], wait["p95"], service["p95"])
         latency.add_row("p99", pct["p99"], wait["p99"], service["p99"])
@@ -570,7 +566,8 @@ class TelemetryCollector:
                 "busy-time accounting booked more chip-ms than the "
                 "makespan; investigate double-counted dispatches")
         if slo is not None:
-            attainment = self.slo_attainment(slo)
+            attainment = slo.evaluate(p99_ms=pct["p99"],
+                                      availability=self.availability())
             table = Table(["target", "goal", "observed", "attained"],
                           title=f"SLO attainment ({attainment.name})")
             if slo.p99_ms is not None:

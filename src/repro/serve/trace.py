@@ -1,17 +1,19 @@
 """Request traces: the workload a serving run replays.
 
-A trace is an ordered list of :class:`Request` records — arrival time in
-simulated milliseconds, plus an optional priority class.  Synthetic traces
-use Poisson arrivals (exponential inter-arrival gaps at a configured
-offered load), the standard open-loop model for serving benchmarks; traces
-round-trip through JSON so a run is exactly reproducible from a file
-(``python -m repro serve --requests trace.json``).
+A trace is an ordered list of :class:`Request` records — immutable
+tuples of request id, arrival time in simulated milliseconds, priority
+class and model tag.  Synthetic traces use Poisson arrivals (exponential
+inter-arrival gaps at a configured offered load), the standard open-loop
+model for serving benchmarks; traces round-trip through JSON so a run is
+exactly reproducible from a file (``python -m repro serve --requests
+trace.json``).
 
 Web-scale traces additionally exist in *columnar* form:
 :class:`TraceArrays` holds the same workload as parallel NumPy columns so
 a million-request trace never materializes a million ``Request`` objects.
 :meth:`TraceArrays.materialize` produces the exact object trace the
-column form describes (bit-identical arrival floats), which is the
+column form describes (bit-identical arrival floats, one tuple per row
+and no per-row validation once the column has passed), which is the
 contract the engine-equivalence test harness pins: every generator
 builds the arrays first and derives the object trace *from them*, so the
 two forms cannot drift.
@@ -21,21 +23,38 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import repeat
+from operator import itemgetter
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-__all__ = ["Request", "TraceArrays", "arrays_from_requests",
-           "synthetic_trace", "synthetic_trace_arrays",
-           "save_trace", "load_trace"]
+__all__ = ["Request", "REPLAY_ORDER", "TraceArrays", "check_arrivals",
+           "arrays_from_requests", "synthetic_trace",
+           "synthetic_trace_arrays", "save_trace", "load_trace"]
 
 _INF = float("inf")
+_ARRIVAL_RULE = "arrival_ms must be finite and >= 0"
+_tuple_new = tuple.__new__
 
 
-@dataclass(frozen=True)
-class Request:
-    """One inference request.
+class _RequestFields(NamedTuple):
+    request_id: int
+    arrival_ms: float
+    priority: int = 0
+    model: str = ""
+
+
+class Request(_RequestFields):
+    """One inference request: an immutable tuple record
+    ``(request_id, arrival_ms, priority, model)``.
+
+    Being a tuple, a ``Request`` compares (and hashes) equal to a plain
+    tuple of its fields, and pickles and copies as itself.  Every
+    constructor checks the arrival rule: ``Request(...)``, and also
+    ``_make`` and ``_replace``, which a plain ``NamedTuple`` lets bypass
+    ``__new__``.
 
     Attributes
     ----------
@@ -54,15 +73,33 @@ class Request:
         mixes replay faithfully.
     """
 
-    request_id: int
-    arrival_ms: float
-    priority: int = 0
-    model: str = ""
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, request_id: int, arrival_ms: float, priority: int = 0,
+                model: str = ""):
         # NaN fails both comparisons; inf would never let a replay end.
-        if not 0.0 <= self.arrival_ms < _INF:
-            raise ValueError("arrival_ms must be finite and >= 0")
+        if not 0.0 <= arrival_ms < _INF:
+            raise ValueError(_ARRIVAL_RULE)
+        return _tuple_new(cls, (request_id, arrival_ms, priority, model))
+
+    @classmethod
+    def _make(cls, iterable):
+        # The namedtuple version checks the length only; _replace calls it.
+        return cls(*super()._make(iterable))
+
+
+# The replay order both engines impose: (arrival_ms, request_id).
+REPLAY_ORDER = itemgetter(1, 0)
+
+
+def check_arrivals(arrival_ms: np.ndarray) -> None:
+    """The :class:`Request` arrival rule over a whole column, vectorized
+    (a NaN makes ``min()`` NaN, which fails the comparison).  NumPy
+    columns stay writable after a :class:`TraceArrays` is built, so each
+    consumer checks the column it is about to replay."""
+    if arrival_ms.size and not (0.0 <= arrival_ms.min()
+                                and arrival_ms.max() < _INF):
+        raise ValueError(_ARRIVAL_RULE)
 
 
 @dataclass(frozen=True)
@@ -94,11 +131,7 @@ class TraceArrays:
             raise ValueError("trace columns must share one length")
         if self.model is not None and len(self.model) != n:
             raise ValueError("model column must match the trace length")
-        # The same rule as Request, once over the column (a NaN makes
-        # min() NaN, which fails the comparison).
-        if n and not (0.0 <= self.arrival_ms.min()
-                      and self.arrival_ms.max() < _INF):
-            raise ValueError("arrival_ms must be finite and >= 0")
+        check_arrivals(self.arrival_ms)
 
     def __len__(self) -> int:
         return int(self.arrival_ms.shape[0])
@@ -108,33 +141,29 @@ class TraceArrays:
 
         Bit-identical to the object path by construction: each field
         goes through the same ``float()``/``int()`` conversion the
-        object-based generators applied element-wise.
+        object-based generators applied element-wise.  The arrival
+        column is checked once, vectorized, so each row is built as a
+        bare tuple without re-running the per-request check.
         """
-        ids = self.request_id.tolist()
-        arrivals = self.arrival_ms.tolist()
-        priorities = self.priority.tolist()
-        if self.model is None:
-            return [Request(request_id=ids[k], arrival_ms=arrivals[k],
-                            priority=priorities[k])
-                    for k in range(len(ids))]
-        return [Request(request_id=ids[k], arrival_ms=arrivals[k],
-                        priority=priorities[k], model=self.model[k])
-                for k in range(len(ids))]
+        check_arrivals(self.arrival_ms)
+        models = (repeat("", len(self)) if self.model is None
+                  else self.model)
+        return list(map(_tuple_new, repeat(Request),
+                        zip(self.request_id.tolist(),
+                            self.arrival_ms.tolist(),
+                            self.priority.tolist(), models)))
 
 
 def arrays_from_requests(requests: Sequence[Request]) -> TraceArrays:
     """Column form of an existing object trace, sorted by
     ``(arrival_ms, request_id)`` — the replay order the engine imposes,
     so replaying the arrays is replaying the list."""
-    ordered = sorted(requests, key=lambda r: (r.arrival_ms, r.request_id))
-    arrival = np.array([r.arrival_ms for r in ordered], dtype=np.float64)
-    ids = np.array([r.request_id for r in ordered], dtype=np.int64)
-    priority = np.array([r.priority for r in ordered], dtype=np.int64)
-    model: Optional[Tuple[str, ...]] = None
-    if any(r.model for r in ordered):
-        model = tuple(r.model for r in ordered)
-    return TraceArrays(arrival_ms=arrival, request_id=ids,
-                       priority=priority, model=model)
+    ordered = sorted(requests, key=REPLAY_ORDER)
+    ids, arrival, priority, model = tuple(zip(*ordered)) or ((),) * 4
+    return TraceArrays(arrival_ms=np.array(arrival, dtype=np.float64),
+                       request_id=np.array(ids, dtype=np.int64),
+                       priority=np.array(priority, dtype=np.int64),
+                       model=model if any(model) else None)
 
 
 def synthetic_trace_arrays(num_requests: int, rate_rps: float, seed: int = 0,
@@ -199,4 +228,4 @@ def load_trace(path: Union[str, Path]) -> List[Request]:
                         priority=int(entry.get("priority", 0)),
                         model=str(entry.get("model", "")))
                 for entry in payload["requests"]]
-    return sorted(requests, key=lambda r: (r.arrival_ms, r.request_id))
+    return sorted(requests, key=REPLAY_ORDER)

@@ -1,8 +1,8 @@
 """Structural tests for the hardware experiment runners.
 
 These encode the *shape claims* of the paper that the reproduction must
-uphold (DESIGN.md section 6): orderings, monotonicities and win/lose
-relations in Table 1, Figure 3 and Figure 4.
+uphold: orderings, monotonicities and win/lose relations in Table 1,
+Figure 3 and Figure 4.
 """
 
 import pytest

@@ -32,6 +32,8 @@ asking for ``vectorized`` explicitly is a hard error.
 """
 
 import json
+import signal
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -52,6 +54,7 @@ from repro.serve.trace import (
     arrays_from_requests,
     synthetic_trace_arrays,
 )
+from repro.serve.vectorized import _in_replay_order
 
 CATALOG = sorted(list_scenarios())
 SEEDS = [3, 7, 11]
@@ -241,6 +244,58 @@ class TestRandomTraceProperties:
                             request_id=np.arange(n, dtype=np.int64),
                             priority=np.zeros(n, dtype=np.int64))
         assert_identical(*summaries(engine, trace))
+
+    def test_order_check_agrees_with_lexsort(self):
+        # Small integer columns: ties on arrival, repeated ids, and both
+        # sorted and shuffled rows — the cases the O(n) check must get
+        # exactly as right as the lexsort it stands in for.
+        rng = np.random.default_rng(31)
+        for case in range(400):
+            n = int(rng.integers(1, 24))
+            arrival = rng.integers(0, 6, size=n).astype(np.float64)
+            ids = rng.integers(0, 8, size=n).astype(np.int64)
+            if case % 2:
+                order = np.lexsort((ids, arrival))
+                arrival, ids = arrival[order], ids[order]
+            expected = np.array_equal(np.lexsort((ids, arrival)),
+                                      np.arange(n))
+            assert _in_replay_order(arrival, ids) == expected, case
+
+
+@contextmanager
+def deadline(seconds):
+    """Fail the block with TimeoutError, rather than hang, if it runs
+    longer than ``seconds``."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0.0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+class TestMutatedArrivalColumn:
+    """``TraceArrays`` columns stay writable after construction.  A bad
+    arrival written into the last row keeps the rows sorted, so no
+    rebuild re-validates it; both engines must still raise — a NaN used
+    to spin the vectorized event pass forever and an infinite one grow
+    it until the process ran out of memory."""
+
+    @pytest.mark.parametrize("choice", ["scalar", "vectorized"])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -1.0],
+                             ids=["nan", "inf", "neg"])
+    def test_bad_last_arrival_raises(self, report, bad, choice):
+        engine = make_engine(report)
+        trace = synthetic_trace_arrays(
+            200, rate_rps=0.9 * engine.plan.throughput_fps, seed=3)
+        trace.arrival_ms[-1] = bad
+        with deadline(2.0), \
+                pytest.raises(ValueError, match="finite and >= 0"):
+            engine.serve(trace, metrics=MetricsRegistry(), engine=choice)
 
 
 class TestArmedModeFallback:

@@ -41,6 +41,39 @@ class TestPercentiles:
         telemetry = TelemetryCollector()
         assert np.isnan(telemetry.latency_percentile(50.0))
 
+    def test_one_call_per_column_is_bit_identical(self):
+        # summary() reads each column's p50/p95/p99 from a single
+        # np.percentile call; that must equal one call per quantile to
+        # the last bit, on 1- and 2-element columns and on ties too.
+        rng = np.random.default_rng(2026)
+        sizes = [1, 2, 1, 2] + rng.integers(1, 500, size=216).tolist()
+        for case, n in enumerate(sizes):
+            arrival = rng.uniform(0.0, 100.0, size=n)
+            wait = rng.lognormal(size=n)
+            service = rng.exponential(size=n)
+            if case % 3 == 0:           # heavy ties
+                wait = np.round(wait)
+                service = np.full(n, 2.5)
+            start = arrival + wait
+            finish = start + service
+            telemetry = TelemetryCollector(1, [(0,)])
+            telemetry.ingest_columns(
+                arrival_ms=arrival, start_ms=start, finish_ms=finish,
+                request_id=np.arange(n, dtype=np.int64),
+                priority=np.zeros(n, dtype=np.int64),
+                batch_size=np.ones(n, dtype=np.int64),
+                executor_index=np.zeros(n, dtype=np.int64))
+            summary = telemetry.summary()
+            for column, values in (("latency", finish - arrival),
+                                   ("wait", start - arrival),
+                                   ("service", finish - start)):
+                for q in (50, 95, 99):
+                    want = float(np.percentile(values, float(q))).hex()
+                    got = summary[f"{column}_p{q}_ms"].hex()
+                    assert got == want, (case, n, column, q)
+                assert summary[f"{column}_mean_ms"].hex() == \
+                    float(np.mean(values)).hex()
+
 
 class TestThroughputAndUtilization:
     def test_throughput_over_makespan(self):

@@ -1,6 +1,9 @@
 """Tests for request traces (repro.serve.trace)."""
 
+import copy
+import hashlib
 import json
+import pickle
 
 import numpy as np
 import pytest
@@ -164,3 +167,102 @@ class TestArrivalValidation:
                             request_id=np.zeros(0, dtype=np.int64),
                             priority=np.zeros(0, dtype=np.int64))
         assert len(empty) == 0
+
+
+class TestRequestRecord:
+    """The record contract: ``Request`` is an immutable tuple whose every
+    constructor checks the arrival rule, and whose repr and trace-file
+    bytes are those of the frozen dataclass it replaced."""
+
+    def test_fields_are_read_only(self):
+        request = Request(request_id=1, arrival_ms=2.0)
+        with pytest.raises(AttributeError):
+            request.arrival_ms = 3.0
+        with pytest.raises(AttributeError):
+            request.deadline_ms = 3.0
+
+    def test_equals_a_plain_tuple_of_its_fields(self):
+        request = Request(7, 1.5, priority=2, model="m")
+        assert request == (7, 1.5, 2, "m")
+        assert hash(request) == hash((7, 1.5, 2, "m"))
+        assert Request(7, 1.5) == (7, 1.5, 0, "")
+
+    @BAD_ARRIVALS
+    def test_every_constructor_checks_arrivals(self, bad):
+        good = Request(request_id=1, arrival_ms=2.0)
+        with pytest.raises(ValueError, match="finite and >= 0"):
+            Request(1, bad)
+        with pytest.raises(ValueError, match="finite and >= 0"):
+            Request._make((1, bad, 0, ""))
+        with pytest.raises(ValueError, match="finite and >= 0"):
+            good._replace(arrival_ms=bad)
+
+    def test_make_and_replace_keep_their_namedtuple_behaviour(self):
+        request = Request._make([1, 2.0, 3, "m"])
+        assert type(request) is Request
+        assert request == Request(1, 2.0, 3, "m")
+        assert request._replace(priority=0) == Request(1, 2.0, 0, "m")
+        with pytest.raises(TypeError):
+            Request._make((1, 2.0))
+        with pytest.raises(ValueError, match="unexpected field"):
+            request._replace(deadline_ms=1.0)
+
+    @pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+    def test_pickle_round_trip(self, protocol):
+        request = Request(4, 8.5, 1, "resnet50")
+        clone = pickle.loads(pickle.dumps(request, protocol=protocol))
+        assert type(clone) is Request
+        assert clone == request
+
+    def test_copy_round_trip(self):
+        request = Request(4, 8.5, 1, "resnet50")
+        for clone in (copy.copy(request), copy.deepcopy(request)):
+            assert type(clone) is Request
+            assert clone == request
+
+    def test_repr_unchanged(self):
+        assert repr(Request(request_id=3, arrival_ms=1.5, priority=2,
+                            model="resnet18")) == (
+            "Request(request_id=3, arrival_ms=1.5, priority=2, "
+            "model='resnet18')")
+        assert repr(Request(0, 0.25)) == (
+            "Request(request_id=0, arrival_ms=0.25, priority=0, model='')")
+
+    def test_save_trace_bytes_unchanged(self, tmp_path):
+        trace = synthetic_trace(40, 150.0, seed=5, priority_levels=3)
+        trace.append(Request(request_id=40,
+                             arrival_ms=trace[-1].arrival_ms + 1.0,
+                             priority=1, model="resnet50"))
+        path = tmp_path / "t.json"
+        save_trace(trace, path)
+        # The file the frozen-dataclass Request wrote for this trace.
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "79d2b60563f7d716cbfb2d401d98e56c85e5b391a6fe2e56b71d1c120d165a53")
+
+    def test_arrays_from_requests_breaks_ties_by_request_id(self):
+        arrays = arrays_from_requests([
+            Request(5, 1.0), Request(2, 1.0), Request(9, 0.5),
+            Request(1, 1.0, model="m")])
+        assert arrays.request_id.tolist() == [9, 1, 2, 5]
+        assert arrays.arrival_ms.tolist() == [0.5, 1.0, 1.0, 1.0]
+        assert arrays.model == ("", "m", "", "")
+
+    def test_arrays_from_requests_accepts_an_empty_trace(self):
+        arrays = arrays_from_requests([])
+        assert len(arrays) == 0
+        assert arrays.model is None
+        assert arrays.arrival_ms.dtype == np.float64
+        assert arrays.request_id.dtype == np.int64
+        assert arrays.priority.dtype == np.int64
+        assert arrays.materialize() == []
+
+    def test_materialize_builds_requests(self):
+        requests = synthetic_trace_arrays(5, 100.0, seed=2).materialize()
+        assert all(type(r) is Request for r in requests)
+
+    @BAD_ARRIVALS
+    def test_materialize_rechecks_a_mutated_column(self, bad):
+        arrays = synthetic_trace_arrays(10, 100.0, seed=1)
+        arrays.arrival_ms[-1] = bad
+        with pytest.raises(ValueError, match="finite and >= 0"):
+            arrays.materialize()
