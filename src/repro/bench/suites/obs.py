@@ -1,4 +1,5 @@
-"""Benchmark for the observability layer: tracing overhead on serving.
+"""Benchmarks for the observability layer: tracing overhead on serving
+(``obs.overhead``) and the span exports (``obs.export``).
 
 ``obs.overhead`` replays the same offered-load cells as
 ``serve.offered_load_sweep`` (engines prebuilt, traces pregenerated, so
@@ -18,17 +19,21 @@ the ratio; the modes are interleaved so a frequency ramp hits both.
 from __future__ import annotations
 
 import gc
+import tempfile
 import time
+from pathlib import Path
 from typing import Dict
 
 from ...obs.metrics import MetricsRegistry
 from ...obs.runtime import use_metrics, use_tracer
 from ...obs.tracer import Tracer
+from ...obs.validate import validate_file
 from ...serve import synthetic_trace
 from ..registry import Workload, benchmark
 from .serve import build_engine
 
-__all__ = ["OVERHEAD_BUDGET_PCT", "measure_overhead", "overhead_factory"]
+__all__ = ["OVERHEAD_BUDGET_PCT", "measure_overhead", "overhead_factory",
+           "export_factory"]
 
 OVERHEAD_BUDGET_PCT = 5.0
 
@@ -129,3 +134,32 @@ def overhead_factory(fast: bool) -> Workload:
     # Each timed call replays every cell twice (off + on) per pass.
     return Workload(fn=fn, items=float(num_requests * cells * 2 * passes),
                     unit="requests", counters=lambda: dict(measured))
+
+
+@benchmark("obs.export", suite="obs",
+           description="Chrome-trace and span-JSONL export of one serve "
+                       "run's spans, each file validated")
+def export_factory(fast: bool) -> Workload:
+    """What ``--trace-out`` and ``repro obs validate`` do with one
+    fixed-seed serve run's spans; the run itself is set-up."""
+    engine = build_engine(2)
+    trace = synthetic_trace(1000 if fast else 5000,
+                            rate_rps=0.7 * engine.plan.throughput_fps,
+                            seed=17)
+    tracer = Tracer()
+    engine.serve(trace, tracer=tracer, metrics=MetricsRegistry())
+    spans = float(len(tracer))      # synthesizes the spans, untimed
+    tmp = tempfile.TemporaryDirectory(prefix="repro-obs-export-")
+    paths = (Path(tmp.name) / "trace.json", Path(tmp.name) / "spans.jsonl")
+
+    def fn():
+        tracer.write_chrome_trace(paths[0])
+        tracer.write_jsonl(paths[1])
+        for path in paths:
+            kind, problems = validate_file(path)
+            assert not problems, f"{path.name} ({kind}): {problems[0]}"
+
+    fn.__dict__["_tmpdir"] = tmp    # keep the dir alive
+    return Workload(fn=fn, items=spans, unit="spans", counters=lambda: {
+        "spans": spans,
+        "bytes": float(sum(path.stat().st_size for path in paths))})

@@ -21,13 +21,12 @@ as the repo's standard table.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 from typing import List, Optional
 
 from .export import parse_prometheus_text
-from .validate import validate_file
+from .validate import iter_jsonl, validate_file
 
 __all__ = ["add_obs_parser", "run_obs", "main"]
 
@@ -91,10 +90,7 @@ def _rows_from_prometheus(text: str) -> List[dict]:
 
 def _rows_from_jsonl(text: str) -> List[dict]:
     rows = []
-    for line in text.splitlines():
-        if not line.strip():
-            continue
-        payload = json.loads(line)
+    for _, payload in iter_jsonl(text):
         if payload.get("type") == "histogram":
             quantiles = payload.get("quantiles") or {}
             parts = [f"count={payload.get('count')}"]

@@ -11,11 +11,16 @@ run, not one per subsystem.
 
 Exports:
 
-- :meth:`Tracer.to_chrome_trace` — the Chrome trace-event JSON object
+- :meth:`Tracer.write_chrome_trace` — the Chrome trace-event JSON object
   format (complete ``"X"`` events plus ``"M"`` thread-name metadata),
   loadable in Perfetto (https://ui.perfetto.dev) or ``chrome://tracing``;
+  :meth:`Tracer.to_chrome_trace` is the parse of that written text;
 - :meth:`Tracer.write_jsonl` — one span object per line, for ``jq`` and
   log pipelines.
+
+Both write the bytes ``json.dumps`` gives each event, but encode a
+column of spans per ``json.dumps`` call (:func:`_encoded`) and stream
+bounded chunks to the file (docs/observability.md).
 
 The default tracer is :class:`NullTracer` (see :mod:`repro.obs.runtime`):
 every record is a no-op and instrumented hot loops guard attribute
@@ -29,9 +34,10 @@ import json
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
-from operator import itemgetter
+from itertools import repeat
+from operator import itemgetter, mod, mul, sub
 from pathlib import Path
-from typing import Dict, List, Optional, Union
+from typing import Dict, Iterator, List, Optional, Sequence, Union
 
 __all__ = ["Span", "Tracer", "NullTracer"]
 
@@ -39,29 +45,54 @@ __all__ = ["Span", "Tracer", "NullTracer"]
 # tied on all three keep their recording order.
 _EXPORT_ORDER = itemgetter(2, 3, 0)
 
+# Spans per export chunk: bounds the exports' working memory.
+_CHUNK_SPANS = 4096
 
-def _normalized(events) -> List[tuple]:
-    """Event tuples with a scalar ``args`` turned into ``{"id": value}``."""
-    return [(name, category, start_ms, end_ms, track,
-             args if args is None or isinstance(args, dict)
-             else {"id": args})
-            for name, category, start_ms, end_ms, track, args in events]
+# Row templates with the keys written in: a head, then one tail per
+# ``args`` kind — none (filled with ""), scalar id, non-empty dict.
+_JSONL_HEAD = ('{"name": %s, "cat": %s, "track": %s, "start_ms": %s, '
+               '"end_ms": %s, "dur_ms": %s')
+_CHROME_HEAD = ('{"name": %s, "cat": %s, "ph": "X", "ts": %s, "dur": %s, '
+                '"pid": 0, "tid": %s')
+_TAILS = ("%s}", ', "args": {"id": %s}}', ', "args": {%s}}')
+_CHROME_META = ('{"name": "thread_name", "ph": "M", "pid": 0, "tid": %d, '
+                '"args": {"name": %s}}')
 
 
-def _row_dict(name: str, category: str, start_ms: float, end_ms: float,
-              track: str, args: Optional[Dict]) -> Dict:
-    """One span as a JSONL line object (:meth:`Span.as_dict` too)."""
-    out = {
-        "name": name,
-        "cat": category,
-        "track": track,
-        "start_ms": start_ms,
-        "end_ms": end_ms,
-        "dur_ms": end_ms - start_ms,
-    }
-    if args:
-        out["args"] = args
-    return out
+def _encoded(values: Sequence, sep: str = ", ") -> List[str]:
+    """Each item's JSON text, from one ``json.dumps`` of the column.
+
+    The text is split at the item separator ``sep``: ``", "``, or
+    ``"}, {"`` for non-empty dicts, whose texts then lack their outer
+    braces.  ``sep`` cannot overlap itself, so an extra part means some
+    item's own text holds it: then each item is encoded alone.
+    """
+    edge = len(sep) // 2 - 1        # braces cut off each item's text
+    parts = json.dumps(values)[1 + edge:-1 - edge].split(sep)
+    if len(parts) == len(values):
+        return parts
+    return [text[edge:len(text) - edge] for text in map(json.dumps, values)]
+
+
+def _rows_text(head: str, columns: Sequence, args: Sequence,
+               sep: str) -> str:
+    """One chunk's rows joined by ``sep``: ``head`` filled from the
+    encoded ``columns``, plus the tail of the row's ``args`` kind."""
+    kinds = [0 if a is None else (2 if a else 0) if isinstance(a, dict)
+             else 1 for a in args]
+    try:
+        ids = iter(_encoded([a for a, k in zip(args, kinds) if k == 1]))
+        dicts = iter(_encoded([a for a, k in zip(args, kinds) if k == 2],
+                              "}, {"))
+    except (TypeError, ValueError):
+        for a in args:      # raise what the first bad one in row order does
+            json.dumps(a)
+        raise
+    texts = ["" if k == 0 else next(ids) if k == 1 else next(dicts)
+             for k in kinds]
+    templates = [head + tail for tail in _TAILS]
+    return sep.join(map(mod, map(templates.__getitem__, kinds),
+                        zip(*map(_encoded, columns), texts)))
 
 
 @dataclass(frozen=True)
@@ -80,8 +111,12 @@ class Span:
         return self.end_ms - self.start_ms
 
     def as_dict(self) -> Dict:
-        return _row_dict(self.name, self.category, self.start_ms,
-                         self.end_ms, self.track, self.args)
+        out = {"name": self.name, "cat": self.category, "track": self.track,
+               "start_ms": self.start_ms, "end_ms": self.end_ms,
+               "dur_ms": self.duration_ms}
+        if self.args:
+            out["args"] = self.args
+        return out
 
 
 class Tracer:
@@ -115,19 +150,17 @@ class Tracer:
         ``{"id": value}``.
         """
         self._flush_sources()
-        return [Span(*row) for row in _normalized(self._events)]
+        return [Span(name, category, start_ms, end_ms, track,
+                     args if args is None or isinstance(args, dict)
+                     else {"id": args})
+                for name, category, start_ms, end_ms, track, args
+                in self._events]
 
     def _flush_sources(self) -> None:
         """Materialize every pending lazy source into the event list."""
         while self._sources:
             source = self._sources.pop(0)
             self._events.extend(source())
-
-    def _ordered_rows(self) -> List[tuple]:
-        """Every span as a normalized event tuple, in export order (both
-        exports build their output from these)."""
-        self._flush_sources()
-        return _normalized(sorted(self._events, key=_EXPORT_ORDER))
 
     # ---- recording ----------------------------------------------------
     def record(self, name: str, category: str, start_ms: float,
@@ -182,48 +215,75 @@ class Tracer:
                         track=track, args=args)
 
     # ---- export -------------------------------------------------------
+    def _ordered_chunks(self) -> Iterator[tuple]:
+        """The span columns ``(names, categories, starts, ends, tracks,
+        args)`` of each export chunk, in export order."""
+        self._flush_sources()
+        events = sorted(self._events, key=_EXPORT_ORDER)
+        for i in range(0, len(events), _CHUNK_SPANS):
+            yield tuple(zip(*events[i:i + _CHUNK_SPANS]))
+
+    def _chrome_chunks(self) -> Iterator[str]:
+        """The Chrome trace text, chunk by chunk."""
+        self._flush_sources()
+        tracks = sorted({event[4] for event in self._events})
+        tids = {track: i for i, track in enumerate(tracks)}
+        yield '{"traceEvents": [' + ", ".join(
+            [_CHROME_META % (i, text)
+             for i, text in enumerate(_encoded(tracks))])
+        sep = ", " if tracks else ""
+        for names, categories, starts, ends, track, args in \
+                self._ordered_chunks():
+            ts = list(map(mul, starts, repeat(1000.0)))
+            dur = list(map(mul, map(sub, ends, starts), repeat(1000.0)))
+            tid = list(map(tids.__getitem__, track))
+            yield sep + _rows_text(_CHROME_HEAD,
+                                   (names, categories, ts, dur, tid),
+                                   args, ", ")
+            sep = ", "
+        yield '], "displayTimeUnit": "ms"}\n'
+
     def to_chrome_trace(self) -> Dict:
         """Chrome trace-event JSON (object format, ``X`` complete events).
 
         Tracks map to thread ids (one ``M``/``thread_name`` metadata event
         each); timestamps are microseconds as the format requires.  Events
-        are sorted by start time so per-track ``ts`` is monotone.
+        are sorted by start time so per-track ``ts`` is monotone.  The
+        object is the parse of the text :meth:`write_chrome_trace`
+        writes, so ``args`` keys are strings and tuples are lists.
         """
-        rows = self._ordered_rows()
-        tracks = sorted({row[4] for row in rows})
-        tids = {track: i for i, track in enumerate(tracks)}
-        events: List[Dict] = [
-            {"name": "thread_name", "ph": "M", "pid": 0, "tid": tids[t],
-             "args": {"name": t}} for t in tracks]
-        for name, category, start_ms, end_ms, track, args in rows:
-            event = {
-                "name": name,
-                "cat": category,
-                "ph": "X",
-                "ts": start_ms * 1000.0,
-                "dur": (end_ms - start_ms) * 1000.0,
-                "pid": 0,
-                "tid": tids[track],
-            }
-            if args:
-                event["args"] = args
-            events.append(event)
-        return {"traceEvents": events, "displayTimeUnit": "ms"}
+        return json.loads("".join(self._chrome_chunks()))
 
     def write_chrome_trace(self, path: Union[str, Path]) -> Path:
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(json.dumps(self.to_chrome_trace()) + "\n")
-        return path
+        return _write_streamed(path, self._chrome_chunks())
+
+    def _jsonl_chunks(self) -> Iterator[str]:
+        for names, categories, starts, ends, tracks, args in \
+                self._ordered_chunks():
+            dur = list(map(sub, ends, starts))
+            yield _rows_text(_JSONL_HEAD,
+                             (names, categories, tracks, starts, ends, dur),
+                             args, "\n") + "\n"
 
     def write_jsonl(self, path: Union[str, Path]) -> Path:
         """One span per line, start-time ordered."""
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text("".join([json.dumps(_row_dict(*row)) + "\n"
-                                 for row in self._ordered_rows()]),
-                        encoding="utf-8")
-        return path
+        return _write_streamed(path, self._jsonl_chunks())
+
+
+def _write_streamed(path: Union[str, Path], chunks: Iterator[str]) -> Path:
+    """Write ``chunks`` to ``path`` as they are encoded; an export that
+    fails part-way leaves no file behind."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with path.open("w", encoding="utf-8") as out:
+        try:
+            out.writelines(chunks)
+            out.flush()
+        except BaseException:
+            out.close()
+            path.unlink(missing_ok=True)
+            raise
+    return path
 
 
 class NullTracer(Tracer):

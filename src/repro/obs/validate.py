@@ -9,7 +9,8 @@ Three formats, each validated structurally (not just "is it JSON"):
   track, ``ts`` must be non-decreasing in file order (what the in-repo
   tracer guarantees and Perfetto's importer is happiest with).
 - **Prometheus text** (``--metrics-out m.prom``): must parse under
-  :func:`repro.obs.export.parse_prometheus_text`; histogram families
+  :func:`repro.obs.export.parse_prometheus_text`; each series of a
+  histogram family (its samples sharing one label set besides ``le``)
   must have non-decreasing cumulative buckets, a ``+Inf`` bucket, and a
   ``_count`` equal to it.  When the ``serve_faults_*`` family is present
   (a fault-injected serve run, docs/scenarios.md) the per-kind counters
@@ -17,7 +18,8 @@ Three formats, each validated structurally (not just "is it JSON"):
   present (a resilience-armed run, docs/resilience.md) breaker episode
   and retry-budget accounting must balance too.
 - **JSONL** (``--metrics-out m.jsonl``, span JSONL): every non-empty
-  line must be individually ``json.loads``-able.
+  line must be individually ``json.loads``-able.  :func:`iter_jsonl`
+  is the one line rule, shared with ``repro obs summarize``.
 
 Each validator returns a list of human-readable problems (empty = valid);
 :func:`validate_file` sniffs the format from the suffix/content and is
@@ -28,8 +30,9 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Tuple, Union
 
 from .export import PrometheusParseError, parse_prometheus_text
 
@@ -37,11 +40,16 @@ __all__ = [
     "validate_chrome_trace",
     "validate_prometheus",
     "validate_jsonl",
+    "iter_jsonl",
     "validate_file",
     "sniff_format",
 ]
 
 _PHASES_OK = {"X", "B", "E", "M", "i", "I", "C"}
+
+# JSON blanks within a line, and the decoder that parses a JSONL line.
+_BLANK = re.compile(r"[ \t\r]*").match
+_RAW_DECODE = json.JSONDecoder().raw_decode
 
 
 def _non_negative(value) -> Optional[float]:
@@ -88,7 +96,8 @@ def validate_chrome_trace(payload) -> List[str]:
         if phase == "M":
             continue        # metadata events carry no timestamp
         ts = event.get("ts")
-        ts_value = _non_negative(ts)
+        ts_value = ts if type(ts) is float and ts >= 0.0 \
+            else _non_negative(ts)
         if ts_value is None:
             problems.append(f"event[{i}]: 'ts' must be a non-negative "
                             f"number, got {ts!r}")
@@ -103,7 +112,8 @@ def validate_chrome_trace(payload) -> List[str]:
         last_ts[track] = ts_value
         if phase == "X":
             dur = event.get("dur")
-            if _non_negative(dur) is None:
+            if not (type(dur) is float and dur >= 0.0) \
+                    and _non_negative(dur) is None:
                 problems.append(f"event[{i}]: X event needs a non-negative "
                                 f"'dur', got {dur!r}")
         elif phase == "B":
@@ -137,22 +147,37 @@ def validate_prometheus(text: str) -> List[str]:
     for name, family in families.items():
         if family["type"] != "histogram":
             continue
-        buckets = [(s[1].get("le"), s[2]) for s in family["samples"]
-                   if s[0] == f"{name}_bucket"]
-        counts = [s[2] for s in family["samples"] if s[0] == f"{name}_count"]
-        if not buckets:
+        # One series per label set without ``le``, checked on its own.
+        series: Dict[Tuple, Tuple[List, List]] = {}
+        for sample, labels, value in family["samples"]:
+            if sample in (f"{name}_bucket", f"{name}_count"):
+                key = tuple(sorted((k, v) for k, v in labels.items()
+                                   if k != "le"))
+                buckets, counts = series.setdefault(key, ([], []))
+                if sample == f"{name}_bucket":
+                    buckets.append((labels.get("le"), value))
+                else:
+                    counts.append(value)
+        if not any(buckets for buckets, _ in series.values()):
             problems.append(f"histogram {name}: no _bucket samples")
             continue
-        if buckets[-1][0] != "+Inf":
-            problems.append(f"histogram {name}: last bucket must be "
-                            f'le="+Inf", got le={buckets[-1][0]!r}')
-        values = [v for _, v in buckets]
-        if any(b > a for b, a in zip(values, values[1:])):
-            problems.append(f"histogram {name}: cumulative bucket counts "
-                            "decrease")
-        if counts and values and counts[0] != values[-1]:
-            problems.append(f"histogram {name}: _count {counts[0]} != "
-                            f"+Inf bucket {values[-1]}")
+        for key, (buckets, counts) in series.items():
+            where = name
+            if key:
+                where += "{" + ",".join(f'{k}="{v}"' for k, v in key) + "}"
+            if not buckets:
+                problems.append(f"histogram {where}: no _bucket samples")
+                continue
+            if buckets[-1][0] != "+Inf":
+                problems.append(f"histogram {where}: last bucket must be "
+                                f'le="+Inf", got le={buckets[-1][0]!r}')
+            values = [v for _, v in buckets]
+            if any(b > a for b, a in zip(values, values[1:])):
+                problems.append(f"histogram {where}: cumulative bucket "
+                                "counts decrease")
+            if counts and counts[0] != values[-1]:
+                problems.append(f"histogram {where}: _count {counts[0]} != "
+                                f"+Inf bucket {values[-1]}")
     problems.extend(_faults_consistency(families))
     problems.extend(_resilience_consistency(families))
     return problems
@@ -247,22 +272,40 @@ def _resilience_consistency(families: Dict) -> List[str]:
     return problems
 
 
-def validate_jsonl(text: str) -> List[str]:
-    """Problems with a JSONL payload (empty list = valid).
-
-    Lines end at ``"\\n"`` only (a trailing ``"\\r"`` is tolerated): a
-    U+2028 inside a JSON string is content, not a line break."""
-    problems: List[str] = []
-    seen = 0
+def iter_jsonl(text: str) -> Iterator[Tuple[int, object]]:
+    """``(lineno, value)`` for each line ``str.strip`` leaves non-empty:
+    its JSON value, or the :class:`json.JSONDecodeError` ``json.loads``
+    raises for it.  Lines end at ``"\\n"`` only (a trailing ``"\\r"`` is
+    tolerated): a U+2028 inside a JSON string is content."""
     for lineno, line in enumerate(text.split("\n"), start=1):
-        if not line.strip():
+        start = _BLANK(line).end()
+        if start == len(line):
             continue
-        seen += 1
         try:
-            json.loads(line)
-        except json.JSONDecodeError as exc:
-            problems.append(f"line {lineno}: not valid JSON ({exc.msg})")
-    if seen == 0:
+            value, end = _RAW_DECODE(line, start)
+            whole = _BLANK(line, end).end() == len(line)
+        except json.JSONDecodeError:
+            whole = False
+        if not whole:
+            if not line.strip():
+                continue
+            try:
+                value = json.loads(line)
+            except json.JSONDecodeError as exc:
+                value = exc
+        yield lineno, value
+
+
+def validate_jsonl(text: str) -> List[str]:
+    """Problems with a JSONL payload (empty list = valid); lines as
+    :func:`iter_jsonl` reads them."""
+    problems: List[str] = []
+    seen = False
+    for lineno, value in iter_jsonl(text):
+        seen = True
+        if isinstance(value, json.JSONDecodeError):
+            problems.append(f"line {lineno}: not valid JSON ({value.msg})")
+    if not seen:
         problems.append("no JSON lines found")
     return problems
 

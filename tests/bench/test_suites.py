@@ -42,6 +42,16 @@ def test_pipeline_export_roundtrip_runs():
     assert result.items > 0
 
 
+def test_obs_export_reports_spans_and_bytes():
+    registry = load_suites()
+    result = run_benchmark(registry.get("obs.export"), FAST_ONE_SHOT)
+    assert result.suite == "obs"
+    assert result.unit == "spans"
+    assert result.items == result.counters["spans"] > 1000
+    assert result.counters["bytes"] > 100 * result.counters["spans"]
+    assert result.throughput > 0
+
+
 def test_serve_sweep_declares_one_pass_discipline():
     registry = load_suites()
     bench = registry.get("serve.offered_load_sweep")

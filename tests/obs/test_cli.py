@@ -52,6 +52,20 @@ class TestObsSummarize:
         assert main(["obs", "summarize", str(metrics)]) == 0
         assert "serve.engine.latency_ms" in capsys.readouterr().out
 
+    def test_jsonl_lines_read_as_validate_reads_them(self, tmp_path,
+                                                       capsys):
+        # a raw U+2028 inside a JSON string is content, not a line break
+        metrics = tmp_path / "m.jsonl"
+        metrics.write_text(json.dumps({"name": "odd\u2028name",
+                                       "type": "counter", "value": 3},
+                                      ensure_ascii=False) + "\n",
+                           encoding="utf-8")
+        assert main(["obs", "validate", str(metrics)]) == 0
+        assert main(["obs", "summarize", str(metrics)]) == 0
+        out = capsys.readouterr().out
+        assert "ok (jsonl)" in out
+        assert "odd\u2028name" in out and "counter" in out
+
     def test_trace_file_is_rejected(self, artifacts, capsys):
         trace, _ = artifacts
         assert main(["obs", "summarize", str(trace)]) == 2

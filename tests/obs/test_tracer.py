@@ -3,8 +3,10 @@
 import json
 import random
 
+import numpy as np
 import pytest
 
+import repro.obs.tracer as tracer_module
 from repro.obs.tracer import NullTracer, Span, Tracer
 
 
@@ -41,37 +43,76 @@ def reference_jsonl(tracer) -> bytes:
     return "".join(lines).encode("utf-8")
 
 
+def _circular() -> dict:
+    loop = {"k": 1}
+    loop["self"] = loop
+    return loop
+
+
+# Values whose JSON text needs care: non-finite and signed-zero floats,
+# an int past 2**53, a bool, a numpy float; strings holding the column
+# separators ", " and "}, {", quotes, backslashes, newlines, non-ASCII.
+_TIMES = [0, 1, 2, 1.0, 2.0, 0.1, 0.7, 2.3, float("nan"), float("inf"),
+          float("-inf"), -0.0, 2 ** 70, True, np.float64(0.7)]
+_NAMES = ["a", "b", "a", "b", "x, y", "}, {", 'say "hi"', "back\\slash",
+          "new\nline", "na\u00efve \u2713", "\U0001f600"]
+_TRACKS = ["main", "requests", "replica0", "t, u", "}, {", 'tr"ack',
+           "C:\\t", "l\nf", "\u00fc"]
+_ARGS = [None, {}, 0, 7, "r1", "r, 2", "}, {", True, False, 2.5,
+         float("nan"),
+         {"batch_size": 2}, {"chips": (0, 1), "replica": 0},
+         {"nested": {"a": [1, {"b": 2}], "c": {"d": None}}},
+         {1: "int key", 2.5: "float key", None: "none key",
+          False: "bool key"},
+         {"v": "}, {"}, {"list": [{"x": 1}, {"y": 2}]}]
+# ``args`` JSON cannot encode: TypeError, TypeError, ValueError.
+_BAD_ARGS = [lambda: {(1, 2): "tuple key"}, lambda: {1, 2}, _circular]
+
+
+def random_event(rng: random.Random, bad_rate: float = 0.02) -> tuple:
+    start, end = sorted((rng.choice(_TIMES), rng.choice(_TIMES)),
+                        key=float)
+    args = (rng.choice(_BAD_ARGS)() if rng.random() < bad_rate
+            else rng.choice(_ARGS))
+    return (rng.choice(_NAMES), rng.choice(["c1", "c2", "c, 3"]), start,
+            end, rng.choice(_TRACKS), args)
+
+
 def random_tracer(rng: random.Random) -> Tracer:
     """Few distinct times, names and tracks, so many spans tie on
     ``(start, end, name)`` and only a stable sort keeps their order."""
-    def time_value():
-        return rng.choice([0, 1, 2, 1.0, 2.0, 0.1, 0.7, 2.3])
-
-    def args_value():
-        return rng.choice([None, {}, 0, 7, "r1",
-                           {"batch_size": rng.randint(1, 4)},
-                           {"chips": (0, 1), "replica": 0}])
-
-    def event():
-        start, end = sorted((time_value(), time_value()))
-        return (rng.choice("ab"), rng.choice(["c1", "c2"]), start, end,
-                rng.choice(["main", "requests", "replica0"]), args_value())
-
     tracer = Tracer()
     for _ in range(rng.randint(0, 6)):
         kind = rng.choice(["record", "extend", "source"])
         if kind == "record":
             # record() accepts reversed intervals and swaps them
-            name, cat, start, end, track, args = event()
+            name, cat, start, end, track, args = random_event(rng)
             if rng.random() < 0.5:
                 start, end = end, start
             tracer.record(name, cat, start, end, track=track, args=args)
         elif kind == "extend":
-            tracer.extend([event() for _ in range(rng.randint(0, 8))])
+            tracer.extend([random_event(rng)
+                           for _ in range(rng.randint(0, 8))])
         else:
-            batch = [event() for _ in range(rng.randint(0, 8))]
+            batch = [random_event(rng) for _ in range(rng.randint(0, 8))]
             tracer.add_source(lambda batch=batch: batch)
     return tracer
+
+
+def outcome(fn, *args):
+    """``fn(*args)``, or the type of the exception it raises."""
+    try:
+        return fn(*args)
+    except Exception as exc:
+        return type(exc)
+
+
+def written(write, path) -> bytes:
+    return write(path).read_bytes()
+
+
+def chrome_text(payload_of, tracer) -> bytes:
+    return (json.dumps(payload_of(tracer)) + "\n").encode()
 
 
 class TestRecording:
@@ -188,23 +229,94 @@ class TestJsonlExport:
 
 class TestExportsMatchReference:
     """Property test: both exports equal, byte for byte, what the
-    materialize-then-sort reference above builds."""
+    materialize-then-sort reference above builds — or raise the same
+    exception type and leave no file behind."""
 
     N_CASES = 200
 
     def test_random_span_sets(self, tmp_path):
-        path = tmp_path / "spans.jsonl"
+        self.check_random_span_sets(tmp_path)
+
+    @pytest.mark.parametrize("chunk_spans", [1, 3])
+    def test_random_span_sets_across_chunks(self, tmp_path, monkeypatch,
+                                            chunk_spans):
+        monkeypatch.setattr(tracer_module, "_CHUNK_SPANS", chunk_spans)
+        self.check_random_span_sets(tmp_path)
+
+    def check_random_span_sets(self, tmp_path):
+        raised = 0
         for seed in range(self.N_CASES):
             # a fresh tracer per export, so each export flushes the lazy
             # sources itself
-            tracers = [random_tracer(random.Random(seed)) for _ in range(3)]
-            chrome = json.dumps(tracers[0].to_chrome_trace())
-            jsonl = tracers[1].write_jsonl(path).read_bytes()
-            reference = tracers[2]
-            assert chrome == json.dumps(reference_chrome_trace(reference)), \
+            tracers = [random_tracer(random.Random(seed)) for _ in range(4)]
+            chrome_path = tmp_path / f"{seed}.json"
+            jsonl_path = tmp_path / f"{seed}.jsonl"
+            chrome = outcome(written, tracers[0].write_chrome_trace,
+                             chrome_path)
+            jsonl = outcome(written, tracers[1].write_jsonl, jsonl_path)
+            parsed = outcome(chrome_text, Tracer.to_chrome_trace, tracers[2])
+            reference = tracers[3]
+            assert chrome == outcome(chrome_text, reference_chrome_trace,
+                                     reference), \
                 f"case {seed}: Chrome trace differs from the reference"
-            assert jsonl == reference_jsonl(reference), \
+            assert jsonl == outcome(reference_jsonl, reference), \
                 f"case {seed}: span JSONL differs from the reference"
+            assert parsed == chrome, \
+                f"case {seed}: to_chrome_trace() is not the written text"
+            if isinstance(chrome, type):
+                raised += 1
+                assert not chrome_path.exists()
+                assert not jsonl_path.exists()
+        assert 0 < raised < self.N_CASES // 2   # both paths exercised
+
+    def test_more_spans_than_one_chunk(self, tmp_path):
+        rng = random.Random(5)
+        events = [random_event(rng, bad_rate=0.0)
+                  for _ in range(2 * tracer_module._CHUNK_SPANS + 5)]
+        tracers = [Tracer() for _ in range(2)]
+        for tracer in tracers:
+            tracer.extend(events)
+        chrome = tracers[0].write_chrome_trace(tmp_path / "t.json")
+        assert chrome.read_bytes() == (json.dumps(
+            reference_chrome_trace(tracers[1])) + "\n").encode()
+        jsonl = tracers[0].write_jsonl(tmp_path / "s.jsonl")
+        assert jsonl.read_bytes() == reference_jsonl(tracers[1])
+
+    def test_separator_inside_an_item(self, tmp_path):
+        t = Tracer()
+        t.record("a, b", "c", 0.0, 1.0, track="}, {",
+                 args={"v": [{"x": 1}, {"y": 2}]})
+        t.record("c", "d", 1.0, 2.0, args="id, 2")
+        line = t.write_jsonl(tmp_path / "s.jsonl").read_text()
+        assert line == reference_jsonl(t).decode()
+        assert json.loads(line.splitlines()[0])["name"] == "a, b"
+
+    def test_failed_export_removes_its_partial_file(self, tmp_path,
+                                                    monkeypatch):
+        monkeypatch.setattr(tracer_module, "_CHUNK_SPANS", 2)
+        t = Tracer()
+        t.extend([("a", "c", float(i), float(i), "main", {"i": i})
+                  for i in range(6)])
+        t.record("z", "c", 9.0, 9.0, args={(1, 2): "tuple key"})
+        for write, name in ((t.write_chrome_trace, "t.json"),
+                            (t.write_jsonl, "s.jsonl")):
+            path = tmp_path / name
+            path.write_text("older export")
+            with pytest.raises(TypeError):
+                write(path)
+            assert not path.exists()
+
+    def test_first_bad_args_in_export_order_decides(self, tmp_path):
+        """A scalar id and a dict that JSON cannot encode raise what the
+        one encoded first in export order raises."""
+        for later, expected in ((1.0, ValueError), (-1.0, TypeError)):
+            t = Tracer()
+            t.record("a", "c", 0.0, 0.0, args=_circular())
+            t.record("b", "c", later, later, args={1, 2})
+            with pytest.raises(expected):
+                t.write_jsonl(tmp_path / "s.jsonl")
+            with pytest.raises(expected):
+                t.to_chrome_trace()
 
     def test_ties_keep_recording_order(self, tmp_path):
         t = Tracer()

@@ -1,6 +1,7 @@
 """Tests for the artifact validators behind ``repro obs validate``."""
 
 import json
+import random
 
 import pytest
 
@@ -8,12 +9,141 @@ from repro.obs.export import prometheus_text
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracer import Tracer
 from repro.obs.validate import (
+    _non_negative,
+    iter_jsonl,
     sniff_format,
     validate_chrome_trace,
     validate_file,
     validate_jsonl,
     validate_prometheus,
 )
+
+
+def reference_validate_jsonl(text):
+    """The line-by-line JSONL rule: split at "\\n", skip lines
+    ``str.strip`` empties, ``json.loads`` each of the others."""
+    problems = []
+    seen = 0
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        if not line.strip():
+            continue
+        seen += 1
+        try:
+            json.loads(line)
+        except json.JSONDecodeError as exc:
+            problems.append(f"line {lineno}: not valid JSON ({exc.msg})")
+    if seen == 0:
+        problems.append("no JSON lines found")
+    return problems
+
+
+def reference_validate_chrome_trace(payload):
+    """The Chrome-trace checks with every ``ts``/``dur`` read through
+    :func:`_non_negative`."""
+    problems = []
+    if isinstance(payload, dict):
+        events = payload.get("traceEvents")
+        if not isinstance(events, list):
+            return ["top-level object has no 'traceEvents' list"]
+    elif isinstance(payload, list):
+        events = payload
+    else:
+        return [f"expected an object or array, got {type(payload).__name__}"]
+    last_ts, open_stacks, timed = {}, {}, 0
+    for i, event in enumerate(events):
+        if not isinstance(event, dict):
+            problems.append(f"event[{i}]: not an object")
+            continue
+        phase = event.get("ph")
+        if not isinstance(phase, str) or not phase:
+            problems.append(f"event[{i}]: missing 'ph' phase")
+            continue
+        if phase not in {"X", "B", "E", "M", "i", "I", "C"}:
+            problems.append(f"event[{i}]: unsupported phase {phase!r}")
+            continue
+        if "name" not in event:
+            problems.append(f"event[{i}]: missing 'name'")
+        if phase == "M":
+            continue
+        ts = event.get("ts")
+        ts_value = _non_negative(ts)
+        if ts_value is None:
+            problems.append(f"event[{i}]: 'ts' must be a non-negative "
+                            f"number, got {ts!r}")
+            continue
+        timed += 1
+        track = (event.get("pid", 0), event.get("tid", 0))
+        previous = last_ts.get(track)
+        if previous is not None and ts_value < previous:
+            problems.append(
+                f"event[{i}]: ts {ts} goes backwards on track pid/tid "
+                f"{track} (previous {previous})")
+        last_ts[track] = ts_value
+        if phase == "X":
+            dur = event.get("dur")
+            if _non_negative(dur) is None:
+                problems.append(f"event[{i}]: X event needs a non-negative "
+                                f"'dur', got {dur!r}")
+        elif phase == "B":
+            open_stacks.setdefault(track, []).append(
+                str(event.get("name", "")))
+        elif phase == "E":
+            stack = open_stacks.get(track)
+            if not stack:
+                problems.append(f"event[{i}]: E event with no open B on "
+                                f"track pid/tid {track}")
+            else:
+                stack.pop()
+    for track, stack in open_stacks.items():
+        for name in stack:
+            problems.append(f"unclosed B event {name!r} on track "
+                            f"pid/tid {track}")
+    if timed == 0 and not problems:
+        problems.append("trace has no timed events")
+    return problems
+
+
+# JSONL fragments: a value split across lines, two values on one line,
+# blank lines by str.strip but not by JSON, a BOM, U+2028 inside and
+# outside a string, non-finite numbers, trailing blanks and garbage.
+_JSONL_FRAGMENTS = [
+    '{"a": 1}', '{"b": [1, {"c": null}]}', "1, 2", "[3", "4]", '"split',
+    'string"', '{"s": "x', 'y"}', "\ufeff{}", " \ufeff{}", "\x0c", "\x0c{}",
+    '{"u": "x\u2028y"}', "\u2028", "\u2028{}", "\x85", " ", "\t", "",
+    "not json", "NaN", "-Infinity", "1e400", "{} x", "{}\t \r", "  7  ",
+    "nul", "1.", "-", '{"k": 1}}', "[[[", "]]]", '"\\u00e9"', "true false",
+]
+_LINE_ENDS = ["\n", "\n", "\r\n", "\n\n", " \n", "\r"]
+
+# Chrome-trace field values: numbers of every JSON kind and some that
+# only an in-memory payload holds, plus non-numbers and unhashables.
+_CHROME_VALUES = [0.0, 1.5, 2.0, -0.0, -1.0, 3, 0, -3, True, False,
+                  float("nan"), float("inf"), float("-inf"), 10 ** 400,
+                  -(10 ** 400), "1", None, [1.0]]
+_PHASES = ["X", "X", "X", "B", "E", "M", "i", "C", "Q", "", None, ["X"],
+           {"ph": "X"}]
+
+
+def _random_jsonl(rng):
+    return "".join(rng.choice(_JSONL_FRAGMENTS) + rng.choice(_LINE_ENDS)
+                   for _ in range(rng.randint(0, 8))) \
+        + rng.choice(["", rng.choice(_JSONL_FRAGMENTS)])
+
+
+def _random_chrome_events(rng):
+    events = []
+    for _ in range(rng.randint(0, 10)):
+        if rng.random() < 0.05:
+            events.append(rng.choice(["oops", 3, None]))
+            continue
+        event = {}
+        for key, values in (("ph", _PHASES), ("ts", _CHROME_VALUES),
+                            ("dur", _CHROME_VALUES), ("tid", [0, 1]),
+                            ("name", ["a", "b"])):
+            if rng.random() < 0.9:
+                event[key] = rng.choice(values)
+        events.append(event)
+    return events
 
 
 def _trace_payload():
@@ -98,12 +228,65 @@ class TestChromeTrace:
         ]
 
 
+class TestChromeTraceMatchesReference:
+    N_CASES = 600
+
+    def test_random_event_lists(self):
+        for seed in range(self.N_CASES):
+            events = _random_chrome_events(random.Random(seed))
+            assert validate_chrome_trace(events) \
+                == reference_validate_chrome_trace(events), f"case {seed}"
+
+    def test_parsed_tracer_output(self, tmp_path):
+        t = Tracer()
+        for i in range(50):
+            t.record("s", "c", i * 0.5, i * 0.5 + (i % 3), track=f"t{i % 4}")
+        payload = json.loads(
+            t.write_chrome_trace(tmp_path / "t.json").read_text())
+        assert validate_chrome_trace(payload) \
+            == reference_validate_chrome_trace(payload) == []
+
+
 class TestPrometheus:
     def test_exporter_output_is_valid(self):
         reg = MetricsRegistry()
         reg.counter("c").inc()
         reg.histogram("h").observe_many([1.0, 2.0, 3.0, 4.0, 5.0])
         assert validate_prometheus(prometheus_text(reg)) == []
+
+    TWO_SERIES = ("# TYPE h histogram\n"
+                  'h_bucket{path="/a",le="1.0"} 5\n'
+                  'h_bucket{path="/a",le="+Inf"} 7\n'
+                  'h_sum{path="/a"} 3.0\nh_count{path="/a"} 7\n'
+                  'h_bucket{path="/b",le="1.0"} 1\n'
+                  'h_bucket{path="/b",le="+Inf"} 2\n'
+                  'h_sum{path="/b"} 1.0\nh_count{path="/b"} 2\n')
+
+    def test_labeled_series_checked_apart(self):
+        assert validate_prometheus(self.TWO_SERIES) == []
+
+    def test_bad_second_series_named(self):
+        text = self.TWO_SERIES.replace('h_count{path="/b"} 2',
+                                       'h_count{path="/b"} 9')
+        assert validate_prometheus(text) == [
+            'histogram h{path="/b"}: _count 9.0 != +Inf bucket 2.0']
+
+    def test_series_without_buckets_named(self):
+        text = self.TWO_SERIES + 'h_count{path="/c"} 1\n'
+        assert validate_prometheus(text) == [
+            'histogram h{path="/c"}: no _bucket samples']
+
+    def test_single_series_messages_unchanged(self):
+        text = ("# TYPE h histogram\n"
+                'h_bucket{le="1.0"} 5\n'
+                'h_bucket{le="2.0"} 3\n'
+                "h_sum 1.0\nh_count 4\n")
+        assert validate_prometheus(text) == [
+            "histogram h: last bucket must be le=\"+Inf\", got le='2.0'",
+            "histogram h: cumulative bucket counts decrease",
+            "histogram h: _count 4.0 != +Inf bucket 3.0"]
+        assert validate_prometheus("# TYPE h histogram\nh_sum 1.0\n") \
+            == ["histogram h: no _bucket samples"]
 
     def test_decreasing_cumulative_buckets_flagged(self):
         text = ("# TYPE h histogram\n"
@@ -154,6 +337,35 @@ class TestJsonl:
     def test_line_numbers_stay_one_based(self):
         problems = validate_jsonl('{"a": "\u2028"}\r\n\nnot json\r\n')
         assert problems == ["line 3: not valid JSON (Expecting value)"]
+
+    @pytest.mark.parametrize("text, problems", [
+        ("1, 2\n", ["line 1: not valid JSON (Extra data)"]),
+        ("[3\n4]\n", ["line 1: not valid JSON (Expecting ',' delimiter)",
+                      "line 2: not valid JSON (Extra data)"]),
+        ('"a\nb"\n', ["line 1: not valid JSON (Unterminated string "
+                      "starting at)",
+                      "line 2: not valid JSON (Expecting value)"]),
+        ("\ufeff{}\n", ["line 1: not valid JSON (Unexpected UTF-8 BOM "
+                        "(decode using utf-8-sig))"]),
+        ("\x0c\n{}\n", []),
+        ("{} \t\r\n", []),
+    ])
+    def test_fragments(self, text, problems):
+        assert validate_jsonl(text) == problems \
+            == reference_validate_jsonl(text)
+
+    def test_random_texts_match_reference(self):
+        for seed in range(1500):
+            text = _random_jsonl(random.Random(seed))
+            assert validate_jsonl(text) == reference_validate_jsonl(text), \
+                f"case {seed}: {text!r}"
+
+    def test_values_and_line_numbers(self):
+        rows = list(iter_jsonl('{"a": 1}\n\n \u2028\n[2]\r\nbad\n{"b": 3}'))
+        assert [lineno for lineno, _ in rows] == [1, 4, 5, 6]
+        assert rows[0][1] == {"a": 1} and rows[1][1] == [2]
+        assert isinstance(rows[2][1], json.JSONDecodeError)
+        assert rows[3][1] == {"b": 3}
 
 
 class TestSniffAndFile:
