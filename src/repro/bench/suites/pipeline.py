@@ -2,7 +2,7 @@
 
 ``pipeline.compile`` times epitome deployment compilation — network spec in,
 per-layer :class:`~repro.pim.simulator.LayerDeployment` list out (the
-epitome designer's sampling of execution patches dominates).
+designer's per-layer shape choice and closed-form execution sums).
 ``pipeline.export_roundtrip`` times the servable format-2 manifest path:
 export -> JSON text -> parse -> rebuild deployments, i.e. exactly what
 ``python -m repro serve --manifest`` pays per deployment load.

@@ -30,9 +30,9 @@ from ..pim.config import DEFAULT_CONFIG, HardwareConfig
 from ..pim.simulator import (
     LayerDeployment,
     baseline_deployment,
-    epitome_deployment_from_plan,
+    epitome_deployment_from_shape,
 )
-from .epitome import EpitomeShape, build_plan
+from .epitome import EpitomeShape
 from .layers import EpitomeConv2d
 
 __all__ = [
@@ -128,6 +128,11 @@ def build_deployments(spec: NetworkSpec,
     bit_map:
         Optional per-layer weight-bit overrides (layer name -> bits) — the
         HAWQ mixed-precision deployments (Table 1's W3mp rows).
+
+    Epitome layers are deployed in closed form
+    (:func:`~repro.pim.simulator.epitome_deployment_from_shape`): the
+    deployment needs only the sums of the patch sizes, so no patch
+    schedule is built.
     """
     assignment = assignment or {}
     deployments: List[LayerDeployment] = []
@@ -144,11 +149,8 @@ def build_deployments(spec: NetworkSpec,
                 layer, weight_bits=layer_bits,
                 activation_bits=activation_bits, config=config))
             continue
-        plan = build_plan(
-            (layer.out_channels, layer.in_channels, *layer.kernel_size),
-            shape, with_index_map=False)
-        deployments.append(epitome_deployment_from_plan(
-            layer, plan, weight_bits=layer_bits,
+        deployments.append(epitome_deployment_from_shape(
+            layer, shape.as_tuple(), weight_bits=layer_bits,
             activation_bits=activation_bits, use_wrapping=use_wrapping,
             config=config))
     return deployments

@@ -135,10 +135,14 @@ class LayerDeployment:
     """How one layer is placed on the PIM fabric.
 
     For ``style == "conv"`` the aggregate execution statistics are derived
-    automatically; for ``style == "epitome"`` they are pre-computed from the
-    layer's :class:`~repro.core.epitome.EpitomePlan` by
-    :func:`epitome_deployment_from_plan` (exact sums over sampled patches,
-    including partial edge blocks).
+    automatically; for ``style == "epitome"`` they are exact sums over the
+    sampled patches, including partial edge blocks, computed by one of two
+    constructors that agree field for field:
+    :func:`epitome_deployment_from_plan` sums a layer's
+    :class:`~repro.core.epitome.EpitomePlan` (runnable models, which carry
+    real plans), and :func:`epitome_deployment_from_shape` gives the same
+    sums in closed form from the epitome shape alone (the designer and the
+    candidate grid).
 
     Attributes
     ----------
@@ -214,10 +218,12 @@ def epitome_deployment_from_shape(spec: LayerSpec,
     those have exact closed forms: the channel blocks tile the layer
     exactly, so ``sum(ci_size) == ci`` and ``sum(co_size) == co``
     regardless of partial edge blocks, and sampling offsets never enter.
-    Grid construction uses this to skip building the patch schedule
-    entirely (~2x of the deduped build); results are bit-for-bit
-    identical to the plan-based path, which
-    ``tests/search/test_gridcache.py`` pins against the serial reference.
+    Grid construction and :func:`repro.core.designer.build_deployments`
+    use this to skip building the patch schedule entirely. Results are
+    bit-for-bit identical to the plan-based path: the grid is pinned
+    against its serial reference by ``tests/search/test_gridcache.py``,
+    the designer's deployments against the plan path by
+    ``tests/core/test_designer_property.py``.
 
     ``shape`` is the resolved epitome as ``(eo, ei, eh, ew)`` — e.g.
     ``EpitomeShape.as_tuple()`` from the designer.

@@ -17,7 +17,7 @@ different files and old entries are simply never read.  Corrupt or
 foreign files are treated as misses — the cache can always be deleted (or
 :meth:`GridCache.wipe`-d) with no correctness consequence.
 
-Numeric fidelity: values are serialized with :func:`json.dump`, whose
+Numeric fidelity: values are serialized with :func:`json.dumps`, whose
 ``repr``-based float formatting round-trips IEEE-754 doubles exactly, so a
 warm rebuild is bit-for-bit identical to the cold build that populated it
 (pinned by ``tests/search/test_gridcache.py``).
@@ -166,7 +166,7 @@ class GridCache:
                                        suffix=".tmp")
             try:
                 with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                    json.dump(payload, fh, sort_keys=True)
+                    fh.write(json.dumps(payload, sort_keys=True))
                 os.replace(tmp, self._path(signature))
             except BaseException:
                 try:

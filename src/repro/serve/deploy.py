@@ -136,15 +136,25 @@ def _require(payload: Mapping, key: str, context: str) -> object:
     return payload[key]
 
 
-def _parse_candidate(raw, where: str):
+def _parse_candidate(raw, label: str, name: str):
     if raw is None:
         return None
     if (not isinstance(raw, (list, tuple)) or len(raw) != 2
             or not all(isinstance(v, int) for v in raw)):
         raise SearchResultError(
-            f"{where}: candidate must be null or a [rows, cols] pair, "
-            f"got {raw!r}")
+            f"{label} layer {name!r}: candidate must be null or a "
+            f"[rows, cols] pair, got {raw!r}")
     return (raw[0], raw[1])
+
+
+def _parse_bits(precision: Mapping, key: str, context: str) -> Optional[int]:
+    bits = precision.get(key)
+    if bits is not None and (isinstance(bits, bool)
+                             or not isinstance(bits, int) or bits < 1):
+        raise SearchResultError(
+            f"{context}: precision {key!r} must be a positive integer or "
+            f"null, got {bits!r}")
+    return bits
 
 
 def _parse_point(entry: Mapping, label: str,
@@ -163,7 +173,13 @@ def _parse_point(entry: Mapping, label: str,
             f"{len(layers)} layers")
     assignment = {}
     for name, raw in zip(layers, genome):
-        cand = _parse_candidate(raw, f"{label} layer {name!r}")
+        # A JSON-decoded pair needs no more than this check; anything else
+        # (null, tuples, bools, malformed entries) takes the full rule.
+        if type(raw) is list and len(raw) == 2 \
+                and type(raw[0]) is int and type(raw[1]) is int:
+            assignment[name] = (raw[0], raw[1])
+            continue
+        cand = _parse_candidate(raw, label, name)
         if cand is not None:
             assignment[name] = cand
     try:
@@ -230,6 +246,13 @@ def load_search_result(source: Union[str, Path, Mapping]
             f"{context}: 'precision' must be an object with "
             f"weight_bits/activation_bits/use_wrapping, "
             f"got {type(precision).__name__}")
+    weight_bits = _parse_bits(precision, "weight_bits", context)
+    activation_bits = _parse_bits(precision, "activation_bits", context)
+    use_wrapping = precision.get("use_wrapping", True)
+    if type(use_wrapping) is not bool:
+        raise SearchResultError(
+            f"{context}: precision 'use_wrapping' must be true or false, "
+            f"got {use_wrapping!r}")
     best = _parse_point(_require(payload, "best", context), "best", layers)
 
     front = None
@@ -246,9 +269,9 @@ def load_search_result(source: Union[str, Path, Mapping]
         objective=str(payload.get("objective", "")),
         budget=int(budget) if budget is not None else None,
         feasible=bool(payload.get("feasible", True)),
-        weight_bits=precision.get("weight_bits"),
-        activation_bits=precision.get("activation_bits"),
-        use_wrapping=bool(precision.get("use_wrapping", True)),
+        weight_bits=weight_bits,
+        activation_bits=activation_bits,
+        use_wrapping=use_wrapping,
         layers=tuple(layers),
         best=best,
         front=front,
@@ -262,8 +285,21 @@ def load_search_result(source: Union[str, Path, Mapping]
 def manifest_from_point(result: LoadedSearchResult, point: OperatingPoint,
                         config: HardwareConfig = DEFAULT_CONFIG) -> Dict:
     """Compile an operating point into a format-2 deployment manifest at
-    the search's recorded precision — the servable hand-off artifact."""
+    the search's recorded precision — the servable hand-off artifact.
+
+    Raises :class:`SearchResultError` when the result's ``layers`` are not
+    the model's layers in spec order: the assignment is keyed by those
+    names, so a mismatch would silently deploy unassigned layers as
+    plain convolutions."""
     spec = get_network_spec(result.model)
+    names = tuple(layer.name for layer in spec)
+    if tuple(result.layers) != names:
+        unknown = [name for name in result.layers if name not in names]
+        raise SearchResultError(
+            f"search result's {len(result.layers)} layers are not "
+            f"{result.model}'s {len(names)} layers in spec order"
+            + (f"; first unknown: {', '.join(map(repr, unknown[:3]))}"
+               if unknown else ""))
     deployments = build_deployments(
         spec, point.assignment,
         weight_bits=result.weight_bits,

@@ -7,11 +7,13 @@ arrays — and the cache invalidates on any ``HardwareConfig`` /
 ``ComponentLUT`` change via content addressing.
 """
 
+import io
 import json
 import pickle
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.models.specs import resnet18_spec
 from repro.pim.config import DEFAULT_CONFIG
@@ -225,6 +227,30 @@ class TestCacheStore:
         cell = (7, 0.1 + 0.2, 1e-17 + 123456.789)
         cache.store("bb", {"none": cell})
         assert cache.load("bb")["none"] == cell
+
+    @given(cells=st.dictionaries(
+        st.text(min_size=1, max_size=8),
+        st.tuples(st.integers(0, 2**40),
+                  st.floats(allow_nan=False, allow_infinity=False),
+                  st.sampled_from([1e-300, 5e300, -0.0, 0.1 + 0.2])),
+        min_size=1, max_size=6))
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_file_bytes_match_streaming_encoder(self, tmp_path, cells):
+        # The store encodes in one shot; its file must hold exactly the
+        # bytes the streaming json.dump writes for the same payload.
+        from repro.search.gridcache import GRID_CACHE_FILE_FORMAT
+
+        cache = GridCache(tmp_path)
+        cache.wipe()
+        cache.store("cc", cells)
+        streamed = io.StringIO()
+        json.dump({"format": GRID_CACHE_FILE_FORMAT, "signature": "cc",
+                   "entries": {key: list(cell)
+                               for key, cell in cells.items()}},
+                  streamed, sort_keys=True)
+        assert (tmp_path / "cc.json").read_bytes() \
+            == streamed.getvalue().encode("utf-8")
 
     def test_wipe(self, spec, tmp_path):
         cache = GridCache(tmp_path)

@@ -97,6 +97,26 @@ class TestFromSearch:
         assert main(["serve", "--from-search", "/nope/result.json"]) == 2
         assert "cannot read" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("edit,message", [
+        (lambda p: p["precision"].update(weight_bits="9"),
+         "'weight_bits' must be a positive integer or null"),
+        (lambda p: p["precision"].update(use_wrapping="false"),
+         "'use_wrapping' must be true or false"),
+        (lambda p: p.update(layers=[f"net.{name}" for name in p["layers"]]),
+         "first unknown: 'net.conv1'"),
+    ])
+    def test_undeployable_result_exits_2(self, tmp_path, capsys, edit,
+                                         message):
+        payload = synthetic_search_payload()
+        edit(payload)
+        path = tmp_path / "result.json"
+        path.write_text(json.dumps(payload))
+        assert main(["serve", "--from-search", str(path),
+                     "--num-requests", "20"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert "Traceback" not in err
+
     def test_conflicting_sources_exit_2(self, search_result, tmp_path,
                                         capsys):
         manifest = tmp_path / "deploy.json"

@@ -3,6 +3,7 @@
 import json
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from repro.analysis.experiments import run_search, run_search_then_serve
 from repro.bench.suites.serve import (
@@ -146,6 +147,111 @@ class TestLoadSearchResult:
             load_search_result(path)
 
 
+def reference_assignment(genome, label, layers):
+    """The reference genome parse: every entry through the full candidate
+    rule, with its error context formatted up front."""
+    assignment = {}
+    for name, raw in zip(layers, genome):
+        where = f"{label} layer {name!r}"
+        if raw is None:
+            continue
+        if (not isinstance(raw, (list, tuple)) or len(raw) != 2
+                or not all(isinstance(v, int) for v in raw)):
+            raise SearchResultError(
+                f"{where}: candidate must be null or a [rows, cols] pair, "
+                f"got {raw!r}")
+        assignment[name] = (raw[0], raw[1])
+    return assignment
+
+
+SCALARS = st.one_of(
+    st.integers(-2**80, 2**80), st.booleans(), st.none(),
+    st.sampled_from([1.0, -3, 0, 2**70]), st.floats(allow_nan=False),
+    st.text(max_size=3))
+GENOME_ENTRY = st.one_of(
+    st.none(),
+    st.lists(st.integers(1, 4096), min_size=2, max_size=2),
+    st.lists(SCALARS, max_size=3),
+    st.tuples(SCALARS, SCALARS),
+    st.lists(st.lists(st.integers(0, 9), max_size=2), min_size=2,
+             max_size=2),
+    SCALARS)
+PARSE_LAYERS = ["conv1", "layer1.0.conv1", "it's", "fc"]
+
+
+class TestGenomeParse:
+    """The one-pass parse agrees with the per-entry reference rule on
+    adversarial genomes: same assignment, or the same error."""
+
+    @given(genome=st.lists(GENOME_ENTRY, min_size=4, max_size=4),
+           in_front=st.booleans())
+    @settings(max_examples=300, deadline=None)
+    @example(genome=[[64, 32], None, (3, 4), [True, 2]], in_front=False)
+    @example(genome=[[-3, 2**70], [1.0, 2], None, None], in_front=True)
+    @example(genome=[[1], None, None, None], in_front=False)
+    @example(genome=[None, [1, 2, 3], None, None], in_front=True)
+    @example(genome=[None, None, ["1", "2"], None], in_front=False)
+    @example(genome=[None, None, None, [[1], [2]]], in_front=False)
+    @example(genome=["12", None, None, None], in_front=False)
+    @example(genome=[7, None, None, None], in_front=True)
+    def test_matches_reference(self, genome, in_front):
+        entry = {"genome": genome, "crossbars": 1, "latency_ms": 1.0,
+                 "energy_mj": 1.0}
+        if in_front:
+            plain = dict(entry, genome=[None] * len(PARSE_LAYERS))
+            payload = make_payload(best=plain, front=[plain, entry],
+                                   layers=PARSE_LAYERS)
+            label = "front[1]"
+        else:
+            payload = make_payload(best=entry, layers=PARSE_LAYERS)
+            label = "best"
+        try:
+            want = reference_assignment(genome, label, PARSE_LAYERS)
+        except SearchResultError as exc:
+            with pytest.raises(type(exc)) as got:
+                load_search_result(payload)
+            assert str(got.value) == str(exc)
+            return
+        result = load_search_result(payload)
+        point = result.front[1] if in_front else result.best
+        # repr tells True from 1 and 1.0 from 1; == would not.
+        assert repr(point.assignment) == repr(want)
+
+
+class TestPrecision:
+    @pytest.mark.parametrize("key,value", [
+        ("weight_bits", "9"), ("weight_bits", 9.0), ("weight_bits", True),
+        ("weight_bits", 0), ("activation_bits", 9.5),
+        ("activation_bits", -1), ("activation_bits", [9])])
+    def test_rejects_non_positive_int_bits(self, key, value):
+        payload = make_payload()
+        payload["precision"][key] = value
+        with pytest.raises(SearchResultError,
+                           match=f"'{key}' must be a positive integer "
+                                 "or null"):
+            load_search_result(payload)
+
+    @pytest.mark.parametrize("value", ["false", 0, 1, None])
+    def test_rejects_non_bool_wrapping(self, value):
+        payload = make_payload()
+        payload["precision"]["use_wrapping"] = value
+        with pytest.raises(SearchResultError,
+                           match="'use_wrapping' must be true or false"):
+            load_search_result(payload)
+
+    def test_accepts_null_bits_and_missing_keys(self):
+        payload = make_payload()
+        payload["precision"] = {"weight_bits": None,
+                                "activation_bits": 4}
+        result = load_search_result(payload)
+        assert result.weight_bits is None and result.activation_bits == 4
+        assert result.use_wrapping is True
+        payload["precision"] = {"use_wrapping": False}
+        result = load_search_result(payload)
+        assert (result.weight_bits, result.activation_bits,
+                result.use_wrapping) == (None, None, False)
+
+
 class TestSelect:
     # latency-opt -> p0, energy-opt -> p1, knee (min EDP) -> p2.
     FRONT = make_front([(90, 10.0, 5.0),     # edp 50
@@ -216,6 +322,28 @@ class TestDeployment:
         replicated = engine_from_search(synthetic_search_payload(),
                                         policy="latency-opt", replicas=3)
         assert replicated.config.num_chips == 3
+
+    @pytest.mark.parametrize("rename,message", [
+        (lambda names: [f"net.{name}" for name in names],
+         r"search result's 21 layers are not resnet18's 21 layers in spec "
+         r"order; first unknown: 'net\.conv1', 'net\.layer1\.0\.conv1', "
+         r"'net\.layer1\.0\.conv2'$"),
+        (lambda names: names[::-1], r"21 layers in spec order$"),
+    ])
+    def test_result_layers_must_be_the_models(self, rename, message):
+        payload = synthetic_search_payload()
+        payload["layers"] = rename(payload["layers"])
+        result = load_search_result(payload)
+        with pytest.raises(SearchResultError, match=message):
+            manifest_from_point(result, result.select("latency-opt"))
+        with pytest.raises(SearchResultError, match=message):
+            engine_from_search(result, policy="latency-opt")
+
+    def test_fake_layer_payload_refuses_to_deploy(self):
+        result = load_search_result(make_payload())
+        with pytest.raises(SearchResultError,
+                           match="2 layers are not resnet18's 21 layers"):
+            report_from_point(result, result.best)
 
     def test_serving_engine_classmethod_delegates(self):
         engine = ServingEngine.from_search(synthetic_search_payload(),
