@@ -6,6 +6,8 @@ The measurement substrate every "make it faster" PR cites:
   factories, deduplicated by name;
 - :mod:`repro.bench.runner` — warmup/repeat/perf_counter discipline,
   git-SHA + peak-RSS provenance;
+- :mod:`repro.bench.paired` — the one A-vs-B timing primitive (ABBA
+  blocks, a median ratio with its interval) and the speed gates' rule;
 - :mod:`repro.bench.results` — the versioned ``BENCH_<timestamp>.json``
   schema (wall times, throughput, work counters, environment);
 - :mod:`repro.bench.compare` — baseline diffing with tolerance-banded
@@ -25,6 +27,7 @@ from .compare import (
     VERDICT_WITHIN_TOLERANCE,
     compare_runs,
 )
+from .paired import PairedTiming, gate, paired
 from .registry import (
     Benchmark,
     BenchmarkRegistry,
@@ -52,6 +55,9 @@ __all__ = [
     "Workload",
     "benchmark",
     "load_suites",
+    "paired",
+    "gate",
+    "PairedTiming",
     "RunnerConfig",
     "run_benchmark",
     "run_suites",

@@ -12,7 +12,9 @@ Examples::
 ``compare`` exits non-zero when any benchmark regresses beyond the
 tolerance — that exit code is the CI regression gate.  With no ``--run``
 it executes a fresh run first (matching the baseline's fast/full mode so
-the comparison is like-for-like).
+the comparison is like-for-like).  A benchmark whose own check fails (a
+speed gate's verdict) ends ``run`` or ``compare`` with
+``error: <benchmark>: <message>`` and exit 1.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from .runner import (
     DEFAULT_REPEATS,
     DEFAULT_ROUNDS,
     DEFAULT_WARMUP,
+    BenchmarkFailure,
     RunnerConfig,
     run_suites,
 )
@@ -216,6 +219,11 @@ def run_bench(args) -> int:
         # are reserved for real harness bugs, which propagate.
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BenchmarkFailure as exc:
+        # A gate's verdict, not a bug: exit 1, as `compare` does for a
+        # regression.
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     raise ValueError(f"unknown bench command {args.bench_command!r}")
 
 

@@ -38,7 +38,6 @@ value is the honest one for memory regressions.
 
 from __future__ import annotations
 
-import gc
 import math
 import platform as platform_mod
 import subprocess
@@ -49,6 +48,7 @@ from datetime import datetime
 from pathlib import Path
 from typing import Callable, List, Optional
 
+from .paired import collector_paused
 from .registry import (
     Benchmark,
     BenchmarkRegistry,
@@ -58,6 +58,7 @@ from .registry import (
 from .results import BenchResult, BenchRun
 
 __all__ = [
+    "BenchmarkFailure",
     "RunnerConfig",
     "run_benchmark",
     "run_suites",
@@ -92,6 +93,16 @@ class RunnerConfig:
             raise ValueError("rounds must be >= 1")
         if self.min_sample_ms < 0:
             raise ValueError("min_sample_ms must be >= 0")
+
+
+class BenchmarkFailure(AssertionError):
+    """A benchmark's own check failed — a speed gate's verdict or a
+    workload's correctness assertion, not a harness bug.  The message
+    names the benchmark."""
+
+    def __init__(self, name: str, message: str):
+        super().__init__(f"{name}: {message}")
+        self.name = name
 
 
 def git_sha(repo_dir: Optional[str] = None) -> Optional[str]:
@@ -173,18 +184,12 @@ def run_benchmark(bench: Benchmark, config: RunnerConfig = RunnerConfig(),
         # expensive one-shot benchmark (e.g. the serve sweep) is not run
         # twice for nothing.
         times_ms.append(probe_ms)
-    gc.collect()
-    gc_was_enabled = gc.isenabled()
-    gc.disable()
-    try:
+    with collector_paused():
         for _ in range(repeats - len(times_ms)):
             start = config.timer()
             for _ in range(inner):
                 workload.fn()
             times_ms.append((config.timer() - start) * 1000.0 / inner)
-    finally:
-        if gc_was_enabled:
-            gc.enable()
 
     counters = workload.counters() if workload.counters is not None else {}
     return BenchResult.from_times(
@@ -198,7 +203,12 @@ def run_suites(suites: Optional[List[str]] = None,
                config: RunnerConfig = RunnerConfig(),
                registry: Optional[BenchmarkRegistry] = None,
                progress: Optional[Callable[[str], None]] = None) -> BenchRun:
-    """Run the selected benchmarks (default: every registered suite)."""
+    """Run the selected benchmarks (default: every registered suite).
+
+    A workload's failed assertion (a speed gate's verdict, a structural
+    check) is re-raised as :class:`BenchmarkFailure` naming the
+    benchmark; any other exception is a harness bug and propagates.
+    """
     if registry is None:
         registry = load_suites()
     selected = registry.select(suites=suites, names=names)
@@ -223,9 +233,13 @@ def run_suites(suites: Optional[List[str]] = None,
                 tag = (f" (round {round_index + 1}/{config.rounds})"
                        if config.rounds > 1 else "")
                 progress(f"[{bench.suite}] {bench.name}{tag} ...")
-            by_name.setdefault(bench.name, []).append(
-                run_benchmark(bench, config,
-                              workload=workloads[bench.name]))
+            try:
+                result = run_benchmark(bench, config,
+                                       workload=workloads[bench.name])
+            except AssertionError as exc:
+                raise BenchmarkFailure(
+                    bench.name, str(exc) or "assertion failed") from exc
+            by_name.setdefault(bench.name, []).append(result)
 
     results: List[BenchResult] = []
     for bench in selected:

@@ -5,6 +5,9 @@ import json
 import pytest
 
 from repro.analysis.cli import main as repro_main
+from repro.bench import cli as bench_cli
+from repro.bench import runner as bench_runner
+from repro.bench.registry import BenchmarkRegistry, Workload, benchmark
 from repro.bench.results import BenchResult, BenchRun, write_run
 
 
@@ -71,6 +74,32 @@ def test_bench_run_requires_known_suite(capsys):
     assert repro_main(["bench", "run", "--fast", "--suite", "nope",
                        "--no-write"]) == 2
     assert "error: unknown suite" in capsys.readouterr().err
+
+
+def test_failing_gate_exits_1_naming_the_benchmark(tmp_path, monkeypatch,
+                                                   capsys):
+    """A gate's verdict is not a harness bug: `error: <benchmark>: ...`
+    and exit 1, as `compare` gives a regression — never a traceback."""
+    registry = BenchmarkRegistry()
+
+    @benchmark("t.gate", suite="t", registry=registry, repeats=1,
+               min_sample_ms=0.0)
+    def factory(fast):
+        def fn():
+            raise AssertionError("overhead 6.30% lies wholly above budget")
+        return Workload(fn=fn)
+
+    for module in (bench_cli, bench_runner):
+        monkeypatch.setattr(module, "load_suites", lambda: registry)
+    baseline = make_run_file(tmp_path, {"t.gate": 1.0}, "baseline.json")
+    for extra in (["run", "--no-write"],
+                  ["compare", "--baseline", str(baseline)]):
+        assert repro_main(["bench", *extra, "--fast",
+                           "--name", "t.gate"]) == 1
+        err = capsys.readouterr().err
+        assert ("error: t.gate: overhead 6.30% lies wholly above budget"
+                in err.splitlines())
+        assert "Traceback" not in err
 
 
 def test_bench_compare_bad_inputs_exit_2(tmp_path, capsys):

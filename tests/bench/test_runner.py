@@ -1,10 +1,13 @@
 """Runner discipline: warmup/repeat counts, autorange, counters, provenance."""
 
+import gc
+
 import pytest
 
 from repro.bench.registry import Benchmark, Workload
 from repro.bench.results import SCHEMA_VERSION
 from repro.bench.runner import (
+    BenchmarkFailure,
     BenchmarkRegistry,
     RunnerConfig,
     git_sha,
@@ -143,3 +146,45 @@ def test_provenance_helpers():
                            and all(c in "0123456789abcdef" for c in sha))
     rss = peak_rss_kb()
     assert rss is None or rss > 0
+
+
+def failing_registry(error):
+    registry = BenchmarkRegistry()
+
+    def factory(fast):
+        def fn():
+            raise error
+        return Workload(fn=fn)
+
+    registry.register(Benchmark(name="t.gate", suite="t", factory=factory,
+                                warmup=0, repeats=1, min_sample_ms=0.0))
+    return registry
+
+
+def test_a_failed_workload_assertion_names_its_benchmark():
+    with pytest.raises(BenchmarkFailure, match="^t.gate: too slow$") as info:
+        run_suites(config=RunnerConfig(rounds=1),
+                   registry=failing_registry(AssertionError("too slow")))
+    assert info.value.name == "t.gate"
+    with pytest.raises(BenchmarkFailure, match="^t.gate: assertion failed$"):
+        run_suites(config=RunnerConfig(rounds=1),
+                   registry=failing_registry(AssertionError()))
+
+
+def test_harness_bugs_propagate_unwrapped():
+    with pytest.raises(KeyError):
+        run_suites(config=RunnerConfig(rounds=1),
+                   registry=failing_registry(KeyError("bug")))
+
+
+def test_timed_samples_restore_the_collector_state():
+    bench = counting_benchmark([], repeats=3)
+    config = RunnerConfig(warmup=0, min_sample_ms=0.0)
+    gc.disable()
+    try:
+        run_benchmark(bench, config)
+        assert not gc.isenabled()
+    finally:
+        gc.enable()
+    run_benchmark(bench, config)
+    assert gc.isenabled()

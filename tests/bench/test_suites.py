@@ -1,7 +1,11 @@
 """The first-class suites produce runnable workloads with honest metadata."""
 
+import pytest
+
 from repro.bench.registry import load_suites
 from repro.bench.runner import RunnerConfig, run_benchmark
+from repro.bench.suites import serve as serve_suite
+from repro.bench.suites.obs import measure_overhead
 
 FAST_ONE_SHOT = RunnerConfig(fast=True, warmup=0, repeats=1,
                              min_sample_ms=0.0)
@@ -120,3 +124,39 @@ def test_serve_trace_replay_1m_budget_scales_with_replayed_count():
     assert result.items == 200_000
     assert result.counters["budget_s"] == 6.0
     assert result.counters["replay_s"] < result.counters["budget_s"]
+
+
+GATES = ("obs.overhead", "serve.scenario_replay",
+         "serve.overload_resilience", "serve.trace_replay_100k")
+
+
+def test_speed_gates_run_once_per_round():
+    """Every call of a gate is a full paired measurement that asserts,
+    so the runner needs one per round."""
+    registry = load_suites()
+    for name in GATES:
+        bench = registry.get(name)
+        assert (bench.warmup, bench.repeats, bench.min_sample_ms) == (
+            0, 1, 0.0), name
+
+
+def test_speed_gates_time_paired_blocks_of_equal_work():
+    """Tiny sizes: no verdict, only that each gate's sides do the same
+    work (its ``same`` check passes) and every block is timed."""
+    for measure, rounds, blocks in (
+            (measure_overhead, 2, 8),
+            (serve_suite.measure_scenario_overhead, 2, 8),
+            (serve_suite.measure_resilience_overhead, 2, 8),
+            (serve_suite.measure_engine_speedup, 6, 6)):
+        result = measure(50, rounds)
+        assert result.blocks == blocks, measure.__name__
+        assert 0 < result.low <= result.ratio <= result.high
+        assert result.a_s > 0 and result.b_s > 0
+
+
+def test_resilience_gate_refuses_a_ratio_over_shed_work(monkeypatch):
+    """Overloaded, the armed side sheds what the disarmed side serves:
+    the equal-work check fires before anything is timed."""
+    monkeypatch.setattr(serve_suite, "_RESILIENCE_LOAD_FACTORS", (3.0,))
+    with pytest.raises(AssertionError, match="different work"):
+        serve_suite.measure_resilience_overhead(200, 6)
