@@ -41,6 +41,7 @@ Schema (version 1)::
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from datetime import datetime
 from pathlib import Path
@@ -187,6 +188,14 @@ _RUN_REQUIRED = ("schema_version", "created_at", "python", "platform",
 _RESULT_REQUIRED = ("name", "suite", "wall_time_ms", "wall_times_ms")
 
 
+def _finite(value) -> bool:
+    """A JSON number (not a bool) that is neither NaN nor infinite —
+    ``json.load`` accepts ``NaN``, and every comparison with it is
+    false, so a NaN time would never read as a regression."""
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and math.isfinite(value))
+
+
 def validate_run_dict(data: Dict) -> None:
     """Raise ``ValueError`` unless ``data`` is a schema-valid run dict."""
     if not isinstance(data, dict):
@@ -198,6 +207,11 @@ def validate_run_dict(data: Dict) -> None:
         raise ValueError(
             f"unsupported schema_version {data['schema_version']!r} "
             f"(this harness writes {SCHEMA_VERSION})")
+    calibration = data.get("calibration_ms")
+    if calibration is not None and not (_finite(calibration)
+                                        and calibration > 0):
+        raise ValueError(f"calibration_ms must be null or a finite number "
+                         f"> 0, got {calibration!r}")
     if not isinstance(data["results"], list):
         raise ValueError("'results' must be a list")
     seen = set()
@@ -210,7 +224,12 @@ def validate_run_dict(data: Dict) -> None:
         if not isinstance(entry["wall_times_ms"], list) or not entry["wall_times_ms"]:
             raise ValueError(
                 f"results[{index}].wall_times_ms must be a non-empty list")
-        if entry["wall_time_ms"] < 0 or any(t < 0 for t in entry["wall_times_ms"]):
+        times = [entry["wall_time_ms"], *entry["wall_times_ms"]]
+        if not all(_finite(t) for t in times):
+            raise ValueError(
+                f"results[{index}] has a wall time that is not a finite "
+                f"number")
+        if any(t < 0 for t in times):
             raise ValueError(f"results[{index}] has negative wall time")
         if entry["name"] in seen:
             raise ValueError(f"duplicate result name {entry['name']!r}")

@@ -1,6 +1,7 @@
 """CLI smoke tests: list, compare exit codes, parser wiring."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -112,6 +113,37 @@ def test_bench_compare_bad_inputs_exit_2(tmp_path, capsys):
     assert repro_main(["bench", "compare", "--baseline",
                        str(malformed)]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def _slower_behind_nan_calibration(run):
+    run["calibration_ms"] = float("nan")
+    for result in run["results"]:
+        result["wall_time_ms"] *= 10
+        result["wall_times_ms"] = [10 * t for t in result["wall_times_ms"]]
+
+
+@pytest.mark.parametrize("corrupt", [
+    _slower_behind_nan_calibration,
+    lambda d: d["results"][0].update(wall_time_ms=float("nan")),
+    lambda d: d.update(calibration_ms="0.4"),
+], ids=["slower-behind-nan-calibration", "nan-wall-time",
+        "string-calibration"])
+def test_bench_compare_rejects_non_finite_run(tmp_path, capsys, corrupt):
+    baseline = json.loads(
+        (Path(__file__).resolve().parents[2] / "benchmarks"
+         / "baseline.json").read_text())
+    base_path = tmp_path / "baseline.json"
+    base_path.write_text(json.dumps(baseline))
+    corrupt(baseline)
+    run_path = tmp_path / "run.json"
+    run_path.write_text(json.dumps(baseline))
+    assert repro_main(["bench", "compare", "--baseline", str(base_path),
+                       "--run", str(run_path)]) == 2
+    captured = capsys.readouterr()
+    assert "OK: no regressions" not in captured.out
+    assert [line for line in captured.err.splitlines()
+            if line.startswith("error: cannot load run")]
+    assert "Traceback" not in captured.err
 
 
 def test_bench_subcommand_is_wired_into_main_parser():

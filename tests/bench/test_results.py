@@ -54,6 +54,21 @@ def test_validate_rejects_bad_dicts():
         (lambda d: d["results"][0].update(wall_times_ms=[]), "non-empty"),
         (lambda d: d["results"][0].update(wall_time_ms=-1.0), "negative"),
         (lambda d: d["results"].append(dict(d["results"][0])), "duplicate"),
+        # json.load accepts NaN and Infinity, so a run file can carry them
+        (lambda d: d["results"][0].update(wall_time_ms=float("nan")),
+         "not a finite number"),
+        (lambda d: d["results"][0].update(wall_times_ms=[1.0, float("inf")]),
+         "not a finite number"),
+        (lambda d: d["results"][0].update(wall_time_ms="2.0"),
+         "not a finite number"),
+        (lambda d: d["results"][0].update(wall_times_ms=[True]),
+         "not a finite number"),
+        (lambda d: d.update(calibration_ms=float("nan")), "calibration_ms"),
+        (lambda d: d.update(calibration_ms=float("inf")), "calibration_ms"),
+        (lambda d: d.update(calibration_ms="0.4"), "calibration_ms"),
+        (lambda d: d.update(calibration_ms=True), "calibration_ms"),
+        (lambda d: d.update(calibration_ms=0.0), "calibration_ms"),
+        (lambda d: d.update(calibration_ms=-0.4), "calibration_ms"),
     ]:
         data = json.loads(json.dumps(good))
         mutate(data)
@@ -83,3 +98,4 @@ def test_latest_run_path_picks_newest(tmp_path):
 def test_result_by_name_raises_on_unknown():
     with pytest.raises(KeyError):
         make_run().result_by_name("ghost")
+

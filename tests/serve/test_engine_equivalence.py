@@ -17,7 +17,7 @@ Coverage is three-pronged:
   (refresh with ``pytest --update-goldens``);
 - config edge cases the event loop is touchy about: zero batching
   window, batch size one, a shedding-depth queue, single- and
-  four-chip fleets (the 1/2-executor fast path and the generic path);
+  four-chip fleets;
 - property tests over hundreds of randomly drawn traces and scheduler
   configs, because hand-picked cases never find the boundary where two
   implementations disagree.
@@ -165,8 +165,7 @@ class TestConfigEdges:
         assert_identical(*summaries(engine, self._trace(engine)))
 
     def test_four_chip_fleet_generic_path(self, report):
-        # >2 executors leaves the locals-specialized event loop for the
-        # generic one; both must agree with the oracle
+        # more executors than the common one or two replica groups
         engine = make_engine(report, num_chips=4)
         assert len(engine.executors) > 2
         assert_identical(*summaries(engine, self._trace(engine, load=0.95)))
