@@ -47,6 +47,7 @@ __all__ = ["ServingConfig", "ServingEngine", "DEFAULT_WIPE_STALL_FACTOR",
            "ENGINES"]
 
 _EPS = 1e-9
+_INF = float("inf")
 
 # Replay engine choices: "scalar" is the per-request event loop below
 # (the permanent oracle), "vectorized" the whole-trace array engine in
@@ -457,6 +458,8 @@ class ServingEngine:
         if n == 0:
             return telemetry
         now = trace[0].arrival_ms
+        # arrivals[i] is the next arrival's time, inf once i == n.
+        arrivals = [request.arrival_ms for request in trace] + [_INF]
         # Telemetry is written through bound column appends: one call
         # per completion field or queue sample, no per-event object.
         completion_appends = telemetry.appenders(*COMPLETION_FIELDS)
@@ -467,9 +470,12 @@ class ServingEngine:
         if faults is not None:
             fault_queue = faults.resolve(trace[0].arrival_ms,
                                          trace[-1].arrival_ms)
-        fault_idx = 0
+        # fault_at[fault_idx] is the next fault's time, inf once none is left.
+        fault_at = [fault.at_ms for fault in fault_queue] + [_INF]
+        fault_idx, num_faults = 0, len(fault_queue)
         retried_ids: set = set()    # retry-once budget (disarmed path)
         runtime: Optional[ResilienceRuntime] = None
+        retry_heap, breakers = None, ()
         if resilience is not None:
             # All control thresholds scale off the service quantum (one
             # pipeline fill plus one batching window), so a single
@@ -482,48 +488,50 @@ class ServingEngine:
                 offered=n,
                 num_replicas=len(self.executors),
                 brownout_plan=self.brownout_plan)
-        # Pre-bound hot-path handles: the armed loop touches these once or
-        # twice per event, and the lookup chain (runtime -> controller ->
-        # method) is measurable against the <5% arming budget enforced by
-        # the serve.overload_resilience benchmark.
-        retry_heap = runtime.retry_heap if runtime is not None else None
-        admission = runtime.admission if runtime is not None else None
-        admission_admit = admission.admit if admission is not None else None
-        if admission is not None:
+            # Pre-bound hot-path handles: the armed loop touches these
+            # once or twice per event, and the lookup chain (runtime ->
+            # controller -> method) is measurable against the <5% arming
+            # budget enforced by the serve.overload_resilience benchmark.
+            retry_heap, breakers = runtime.retry_heap, runtime.breakers
+            admission = runtime.admission
+            admission_admit = admission.admit
             adm_target_ms = admission.target_ms
             adm_rate_per_ms = admission.rate_per_ms
             adm_burst = admission.burst
             # The bucket's mutable fast-path state lives in loop locals
             # (written back before finalize); nothing else reads the
             # controller mid-run, and per-arrival attribute traffic is
-            # the single biggest slice of the <5% arming budget.
+            # the single biggest slice of the <5% arming budget.  The
+            # clock starts at the first arrival: its refill adds 0.0.
             adm_tokens = admission.tokens
-            adm_last_refill = admission.last_refill_ms
+            adm_last_refill = now
             adm_admitted = admission.admitted
-            adm_refilled = admission._refilled
             # True while the CoDel side holds armed state that a healthy
             # sample must clear (first_above set, or actively dropping).
             adm_codel_armed = (admission.dropping
                                or admission.first_above_ms >= 0.0)
-        brownout_ctl = runtime.brownout if runtime is not None else None
-        brownout_enter_ms = (brownout_ctl.enter_ms
-                             if brownout_ctl is not None else 0.0)
+            brownout_ctl = runtime.brownout
+            brownout_threshold = brownout_ctl.enter_ms - 1e-9
         # True whenever the brownout controller holds non-idle state
         # (active, or an entry clock running); while False, arrivals
         # under the entry threshold skip update() entirely.
         brownout_watch = False
+        open_episodes = 0   # runtime's; only _execute changes it
+        executors = self.executors
+        execute = self._execute
+        live = scheduler._live      # the queued requests; len() is depth
         oldest_arrival = scheduler.oldest_arrival_ms
+        max_batch = self.config.scheduler.max_batch_size
+        window_ms = self.config.scheduler.window_ms
         max_finish_ms = now         # latest completion dispatched so far
 
         # Faults with firing times past the last queue event still apply
         # while dispatched work is in flight (a kill during drain must
         # retract those completions), hence the third loop condition.
-        while i < n or len(scheduler) or retry_heap \
-                or (fault_idx < len(fault_queue)
-                    and fault_queue[fault_idx].at_ms <= max_finish_ms + _EPS):
-            if fault_idx < len(fault_queue):
-                while (fault_idx < len(fault_queue)
-                       and fault_queue[fault_idx].at_ms <= now + _EPS):
+        while i < n or live or retry_heap \
+                or fault_at[fault_idx] <= max_finish_ms + _EPS:
+            if fault_idx < num_faults:
+                while fault_at[fault_idx] <= now + _EPS:
                     fault = fault_queue[fault_idx]
                     fault_idx += 1
                     if self._apply_fault(fault, scheduler, telemetry,
@@ -531,7 +539,7 @@ class ServingEngine:
                         # Total outage: no replica left to serve anything.
                         # Queued, backing-off, and still-arriving requests
                         # are lost.
-                        while len(scheduler):
+                        while live:
                             batch = scheduler.next_batch(now, force=True)
                             for request in batch.requests:
                                 telemetry.record_failure(request.request_id)
@@ -541,9 +549,9 @@ class ServingEngine:
                         for request in trace[i:]:
                             telemetry.record_failure(request.request_id)
                         i = n
-                        fault_idx = len(fault_queue)
+                        fault_idx = num_faults
                         break
-                if i >= n and not len(scheduler) and not retry_heap:
+                if i >= n and not live and not retry_heap:
                     break
 
             # Backed-off retries whose deadline has come re-enter the
@@ -558,7 +566,7 @@ class ServingEngine:
                     else:
                         telemetry.record_failure(request.request_id)
 
-            while i < n and trace[i].arrival_ms <= now + _EPS:
+            while arrivals[i] <= now + _EPS:
                 request = trace[i]
                 i += 1
                 if runtime is not None:
@@ -574,8 +582,7 @@ class ServingEngine:
                     # traffic resumes or finalize() settles the books.
                     # While the controller is idle and the delay is under
                     # the entry threshold, update() is provably a no-op.
-                    if brownout_watch \
-                            or delay >= brownout_enter_ms - 1e-9:
+                    if brownout_watch or delay >= brownout_threshold:
                         transition = brownout_ctl.update(now, delay)
                         if transition:
                             runtime.note_brownout_transition(
@@ -589,13 +596,9 @@ class ServingEngine:
                     # attribute traffic is a measurable slice of the <5%
                     # arming budget.  Any other case syncs the state
                     # back and takes the full decision path.
-                    if adm_refilled:
-                        adm_tokens += (now - adm_last_refill) \
-                            * adm_rate_per_ms
-                        if adm_tokens > adm_burst:
-                            adm_tokens = adm_burst
-                    else:
-                        adm_refilled = True
+                    adm_tokens += (now - adm_last_refill) * adm_rate_per_ms
+                    if adm_tokens > adm_burst:
+                        adm_tokens = adm_burst
                     adm_last_refill = now
                     if delay < adm_target_ms and adm_tokens >= 1.0:
                         if adm_codel_armed:
@@ -608,7 +611,6 @@ class ServingEngine:
                         admission.tokens = adm_tokens
                         admission.last_refill_ms = adm_last_refill
                         admission.admitted = adm_admitted
-                        admission._refilled = adm_refilled
                         verdict = admission_admit(now, delay,
                                                   request.priority)
                         adm_tokens = admission.tokens
@@ -622,18 +624,34 @@ class ServingEngine:
                 if not scheduler.submit(request):
                     telemetry.record_rejection(request.request_id)
 
-            while scheduler.has_ready_batch(now):
-                free = [ex for ex in self.executors
-                        if ex.alive and ex.free_at_ms <= now + _EPS]
-                if not free:
+            # has_ready_batch's rule (a full batch, or the head's window
+            # expired), then one pass for the free executor with the
+            # lowest (free_at_ms, index).  allows() must run on every
+            # free one, in index order: it half-opens expired breakers.
+            while live:
+                if len(live) < max_batch:
+                    oldest = (oldest_arrival() if scheduler._oldest_dirty
+                              else scheduler._oldest_cache)
+                    if now < oldest + window_ms:
+                        break
+                horizon = now + _EPS
+                ex = gated = None
+                for cand in executors:
+                    if cand.alive and cand.free_at_ms <= horizon:
+                        if ex is None or cand.free_at_ms < ex.free_at_ms:
+                            ex = cand
+                        if open_episodes \
+                                and breakers[cand.index].allows(now) \
+                                and (gated is None
+                                     or cand.free_at_ms < gated.free_at_ms):
+                            gated = cand
+                if ex is None:
                     break
-                if runtime is not None and runtime.open_episodes:
-                    gated = [ex for ex in free
-                             if runtime.breakers[ex.index].allows(now)]
-                    if gated:
-                        free = gated
-                    elif runtime.open_episodes \
-                            >= sum(1 for e in self.executors if e.alive):
+                if open_episodes:
+                    if gated is not None:
+                        ex = gated
+                    elif open_episodes \
+                            >= sum(1 for e in executors if e.alive):
                         # Every live replica is tripped: serving through
                         # an open breaker beats serving nothing.
                         runtime.fail_open_batches += 1
@@ -642,48 +660,53 @@ class ServingEngine:
                         # down; wait for it rather than feed a tripped
                         # replica (its open_until_ms is a candidate).
                         break
-                ex = min(free, key=lambda e: (e.free_at_ms, e.index))
-                batch = scheduler.next_batch(now)
-                last_finish = self._execute(ex, batch, now, telemetry,
-                                            completion_appends, runtime)
+                last_finish = execute(ex, scheduler.next_batch(now), now,
+                                      telemetry, completion_appends, runtime)
                 if last_finish > max_finish_ms:
                     max_finish_ms = last_finish
+                if runtime is not None:
+                    open_episodes = runtime.open_episodes
             # Exactly one depth sample per event (the settled post-dispatch
             # state) — asymmetric sampling would bias the mean.
             sample_ms(now)
-            sample_depth(len(scheduler))
-            candidates = []
-            if i < n:
-                candidates.append(trace[i].arrival_ms)
-            if retry_heap:
-                candidates.append(retry_heap[0][0])
-            if len(scheduler):
-                timeout = scheduler.next_timeout_ms()
-                if timeout is not None:
-                    candidates.append(timeout)
-                candidates.extend(ex.free_at_ms for ex in self.executors
-                                  if ex.alive and ex.free_at_ms > now + _EPS)
-                if runtime is not None and runtime.open_episodes:
-                    candidates.extend(b.open_until_ms
-                                      for b in runtime.breakers if b.is_open)
-            if (fault_idx < len(fault_queue)
-                    and fault_queue[fault_idx].at_ms <= max_finish_ms + _EPS):
-                candidates.append(fault_queue[fault_idx].at_ms)
-            candidates = [c for c in candidates if c > now + _EPS]
-            if not candidates:
-                if i >= n and not len(scheduler) and not retry_heap:
+            sample_depth(len(live))
+            # Next event: the running minimum of the candidates past
+            # now + _EPS — next arrival, retry-heap head; while work is
+            # queued, the window expiry, live executors' free times and
+            # open breakers' probe times; the next fault while dispatched
+            # work is in flight.
+            horizon = now + _EPS
+            nxt = arrivals[i]
+            if retry_heap and horizon < retry_heap[0][0] < nxt:
+                nxt = retry_heap[0][0]
+            if live:
+                oldest = (oldest_arrival() if scheduler._oldest_dirty
+                          else scheduler._oldest_cache)
+                if horizon < oldest + window_ms < nxt:
+                    nxt = oldest + window_ms
+                for ex in executors:
+                    if ex.alive and horizon < ex.free_at_ms < nxt:
+                        nxt = ex.free_at_ms
+                if open_episodes:
+                    for breaker in breakers:
+                        if breaker.is_open \
+                                and horizon < breaker.open_until_ms < nxt:
+                            nxt = breaker.open_until_ms
+            if horizon < fault_at[fault_idx] < nxt \
+                    and fault_at[fault_idx] <= max_finish_ms + _EPS:
+                nxt = fault_at[fault_idx]
+            if nxt == _INF:
+                if i >= n and not live and not retry_heap:
                     break
                 # Ready work with an expired window but nothing to wait
                 # for would be a scheduling bug; advance minimally.
                 now += _EPS
                 continue
-            now = min(candidates)
+            now = nxt
         if runtime is not None:
-            if admission is not None:
-                admission.tokens = adm_tokens
-                admission.last_refill_ms = adm_last_refill
-                admission.admitted = adm_admitted
-                admission._refilled = adm_refilled
+            admission.tokens = adm_tokens
+            admission.last_refill_ms = adm_last_refill
+            admission.admitted = adm_admitted
             runtime.finalize(now, telemetry)
         self._add_span_source(tracer, telemetry)
         self._publish_metrics(telemetry, scheduler, metrics,

@@ -45,12 +45,13 @@ class AdmissionController:
         self.target_ms = policy.target_factor * base_ms
         self.interval_ms = policy.interval_factor * base_ms
         self.protect_priority = policy.protect_priority
-        # Token bucket: refill in tokens/ms, clamped at `burst`.
+        # Token bucket: refill in tokens/ms, clamped at `burst`.  It
+        # starts full, so the first refill (times are >= 0) is clamped
+        # straight back to `burst` whatever the clock says.
         self.rate_per_ms = policy.rate_headroom * capacity_fps / 1000.0
         self.burst = float(policy.burst)
         self.tokens = float(policy.burst)
         self.last_refill_ms = 0.0
-        self._refilled = False
         # CoDel state: -1.0 is the "not above target" sentinel.
         self.first_above_ms = -1.0
         self.dropping = False
@@ -81,13 +82,10 @@ class AdmissionController:
         first exit: one refill, two compares, one decrement — this runs
         once per offered request against the <5% arming budget.
         """
-        tokens = self.tokens
-        if self._refilled:
-            tokens += (now_ms - self.last_refill_ms) * self.rate_per_ms
-            if tokens > self.burst:
-                tokens = self.burst
-        else:
-            self._refilled = True
+        tokens = self.tokens \
+            + (now_ms - self.last_refill_ms) * self.rate_per_ms
+        if tokens > self.burst:
+            tokens = self.burst
         self.last_refill_ms = now_ms
 
         if delay_ms < self.target_ms:

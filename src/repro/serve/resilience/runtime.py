@@ -7,10 +7,11 @@ replica count, attached brownout plan), and owns the mutable state the
 event loop touches: the backoff heap of pending retries, the breaker
 array, the degraded-mode flag.
 
-Hot-loop discipline: every method the engine calls per event is plain
-attribute arithmetic plus at most one heap op; telemetry events are
-appended only on state *transitions* (breaker open/close, brownout
-enter/exit) and all counters are published in bulk after the run under
+Hot-loop discipline: the engine drives the controllers themselves
+(admission, breakers, brownout) and calls into the runtime only to park
+or pop a retry (one heap op each) and on state *transitions* (breaker
+open/close, brownout enter/exit), the only times telemetry events are
+appended.  All counters are published in bulk after the run under
 ``serve.resilience.*`` (see docs/resilience.md).
 """
 
@@ -55,10 +56,6 @@ class ResilienceRuntime:
         self.degraded_completions = 0
         self.fail_open_batches = 0
 
-    # ---- admission ----------------------------------------------------
-    def admit(self, now_ms: float, delay_ms: float, priority: int) -> bool:
-        return self.admission.admit(now_ms, delay_ms, priority)
-
     # ---- retries ------------------------------------------------------
     def try_schedule_retry(self, request: Request, now_ms: float) -> bool:
         """Reserve a budget slot and park ``request`` on the backoff
@@ -74,18 +71,7 @@ class ResilienceRuntime:
     def pop_retry(self) -> Request:
         return heapq.heappop(self.retry_heap)[2]
 
-    def next_retry_ms(self) -> float:
-        return self.retry_heap[0][0]
-
     # ---- breakers -----------------------------------------------------
-    def note_dispatch(self, replica: int, now_ms: float,
-                      service_factor: float, telemetry) -> None:
-        """Feed a dispatch outcome to the replica's breaker; records a
-        telemetry event on open/close episode transitions."""
-        delta = self.breakers[replica].on_dispatch(now_ms, service_factor)
-        if delta:
-            self.note_breaker_transition(replica, delta, now_ms, telemetry)
-
     def note_breaker_transition(self, replica: int, delta: int,
                                 now_ms: float, telemetry) -> None:
         """Apply a non-zero :meth:`CircuitBreaker.on_dispatch` verdict.
@@ -103,12 +89,6 @@ class ResilienceRuntime:
                 "replica": replica})
 
     # ---- brownout -----------------------------------------------------
-    def update_brownout(self, now_ms: float, delay_ms: float,
-                        telemetry) -> None:
-        transition = self.brownout.update(now_ms, delay_ms)
-        if transition:
-            self.note_brownout_transition(transition, now_ms, telemetry)
-
     def note_brownout_transition(self, transition: int, now_ms: float,
                                  telemetry) -> None:
         """Apply a non-zero :meth:`BrownoutController.update` verdict.

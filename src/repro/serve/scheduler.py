@@ -93,10 +93,11 @@ class Batch:
 class MicroBatchScheduler:
     """Bounded-queue micro-batcher (simulated-time, event-driven).
 
-    The engine drives it with explicit timestamps where time matters:
+    Callers drive it with explicit timestamps where time matters:
     ``next_batch(now)`` to release a ready batch, ``next_timeout_ms()``
-    to learn when the window next expires (the engine's wake-up event
-    when no arrival or chip-free event comes sooner).  ``submit`` is
+    to learn when the window next expires.  The engine's event loop
+    applies the same two rules itself, reading the window anchor
+    through the ``oldest_arrival_ms`` cache.  ``submit`` is
     timestamp-free — the window is anchored to request *arrival* times.
 
     The queue is two heaps so every engine event stays O(log n) even in

@@ -221,11 +221,46 @@ def save_trace(requests: Sequence[Request], path: Union[str, Path]) -> None:
 
 
 def load_trace(path: Union[str, Path]) -> List[Request]:
-    """Read a trace written by :func:`save_trace` (extra keys ignored)."""
+    """Read a trace written by :func:`save_trace` (extra keys ignored).
+
+    The file must hold an object whose ``requests`` is a list of
+    objects, each with an ``id`` that is an int unique in the trace, an
+    ``arrival_ms`` that is a number (finite and >= 0), and optionally an
+    int ``priority`` and a string ``model``; bools are not numbers here.
+    Anything else raises ``ValueError`` naming the entry's index, rather
+    than being coerced: two requests sharing an id would share one
+    retry-once slot on failover.
+    """
     payload = json.loads(Path(path).read_text())
-    requests = [Request(request_id=int(entry["id"]),
-                        arrival_ms=float(entry["arrival_ms"]),
-                        priority=int(entry.get("priority", 0)),
-                        model=str(entry.get("model", "")))
-                for entry in payload["requests"]]
+    entries = payload.get("requests") if isinstance(payload, dict) else None
+    if not isinstance(entries, list):
+        raise ValueError(f"{path}: a trace is an object holding a "
+                         "'requests' list")
+    requests: List[Request] = []
+    seen = set()
+    for k, entry in enumerate(entries):
+        where = f"{path}: requests[{k}]"
+        if not isinstance(entry, dict):
+            raise ValueError(f"{where}: must be an object, got {entry!r}")
+        rid, arrival = entry.get("id"), entry.get("arrival_ms")
+        priority, model = entry.get("priority", 0), entry.get("model", "")
+        if type(rid) is not int:
+            raise ValueError(f"{where}: id must be an int, got {rid!r}")
+        if rid in seen:
+            raise ValueError(f"{where}: duplicate id {rid}")
+        seen.add(rid)
+        if type(arrival) not in (int, float):
+            raise ValueError(
+                f"{where}: arrival_ms must be a number, got {arrival!r}")
+        if type(priority) is not int:
+            raise ValueError(
+                f"{where}: priority must be an int, got {priority!r}")
+        if not isinstance(model, str):
+            raise ValueError(
+                f"{where}: model must be a string, got {model!r}")
+        try:
+            requests.append(Request(rid, float(arrival), priority, model))
+        except (ValueError, OverflowError):
+            raise ValueError(f"{where}: {_ARRIVAL_RULE}, got {arrival!r}"
+                             ) from None
     return sorted(requests, key=REPLAY_ORDER)

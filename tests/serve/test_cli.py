@@ -216,6 +216,23 @@ class TestScenarioFlags:
                      "--requests", str(path)]) == 2
         assert "exactly one workload source" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("payload", [
+        [{"id": 0, "arrival_ms": 0.0}],
+        {"requests": [{"id": 0, "arrival_ms": None}]},
+        {"requests": [{"id": None, "arrival_ms": 0.0}]},
+        {"requests": [1, 2]},
+        {"requests": {"a": 1}},
+        {"requests": [{"id": 0, "arrival_ms": 0.0},
+                      {"id": 0, "arrival_ms": 1.0}]},
+    ], ids=["list", "arrival-null", "id-null", "entries-not-objects",
+            "requests-dict", "duplicate-id"])
+    def test_malformed_trace_file_exits_2(self, tmp_path, capsys, payload):
+        path = tmp_path / "trace.json"
+        path.write_text(json.dumps(payload))
+        assert main(["serve", "--requests", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+
     def test_ab_accepts_scenario_and_faults(self, search_result, capsys):
         assert main(["serve", "--from-search", search_result,
                      "--policy", "latency-opt", "--ab-policy", "energy-opt",

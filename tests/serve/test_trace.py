@@ -64,6 +64,60 @@ class TestTraceRoundTrip:
         assert load_trace(path) == trace
 
 
+def _entry(rid=0, arrival=0.5, **extra):
+    return {"id": rid, "arrival_ms": arrival, **extra}
+
+
+class TestTraceFileValidation:
+    """load_trace rejects a malformed trace file with a ValueError that
+    names the bad entry, instead of a TypeError or a silent coercion.
+    Each bad entry sits at index 1, after a valid one."""
+
+    @pytest.mark.parametrize("payload", [
+        [_entry()],                         # top-level list
+        {"requests": {"a": 1}},             # requests not a list
+        {"trace": [_entry()]},              # no requests key
+    ], ids=["list", "requests-dict", "no-requests"])
+    def test_file_shape(self, tmp_path, payload):
+        path = tmp_path / "t.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match="'requests' list"):
+            load_trace(path)
+
+    @pytest.mark.parametrize("bad, message", [
+        (1, "must be an object"),
+        (_entry(rid=None), "id must be an int"),
+        (_entry(rid=1.7), "id must be an int"),
+        (_entry(rid=True), "id must be an int"),
+        (_entry(rid="1"), "id must be an int"),
+        (_entry(rid=0), "duplicate id 0"),
+        (_entry(rid=1, arrival=None), "arrival_ms must be a number"),
+        (_entry(rid=1, arrival=True), "arrival_ms must be a number"),
+        (_entry(rid=1, arrival="1.0"), "arrival_ms must be a number"),
+        (_entry(rid=1, arrival=10**400), "finite and >= 0"),
+        (_entry(rid=1, priority=1.5), "priority must be an int"),
+        (_entry(rid=1, priority=True), "priority must be an int"),
+        (_entry(rid=1, model=3), "model must be a string"),
+    ], ids=["not-object", "id-null", "id-float", "id-bool", "id-str",
+            "id-duplicate", "arrival-null", "arrival-bool", "arrival-str",
+            "arrival-overflow", "priority-float", "priority-bool",
+            "model-int"])
+    def test_bad_entry_named_by_index(self, tmp_path, bad, message):
+        path = tmp_path / "t.json"
+        path.write_text(json.dumps({"requests": [_entry(), bad]}))
+        with pytest.raises(ValueError, match=message) as info:
+            load_trace(path)
+        assert "requests[1]" in str(info.value)
+
+    def test_exact_numbers_accepted(self, tmp_path):
+        path = tmp_path / "t.json"
+        path.write_text(json.dumps({"requests": [
+            _entry(rid=2, arrival=3), _entry(rid=1, arrival=0.0,
+                                             priority=-1, model="m")]}))
+        assert load_trace(path) == [Request(1, 0.0, -1, "m"),
+                                    Request(2, 3.0)]
+
+
 class TestTraceArrays:
     """Property tests for the column-form trace (the vectorized engine's
     input).  The array generator is not a second generator: it must emit
