@@ -83,8 +83,10 @@ class SLO:
     name: str = "default"
 
     def __post_init__(self):
-        if self.p99_ms is not None and self.p99_ms <= 0:
-            raise ValueError("p99_ms target must be > 0")
+        # NaN and inf fail this too: every run would read as a miss
+        # against a NaN target, and as a pass against an infinite one.
+        if self.p99_ms is not None and not 0.0 < self.p99_ms < math.inf:
+            raise ValueError("p99_ms target must be finite and > 0")
         if self.availability is not None \
                 and not 0.0 < self.availability <= 1.0:
             raise ValueError("availability target must be in (0, 1]")

@@ -54,7 +54,7 @@ from .deploy import (
 from .engine import ServingConfig, ServingEngine
 from .scenarios import get_scenario, parse_faults, scenario_table
 from .scheduler import SchedulerConfig
-from .trace import load_trace, save_trace, synthetic_trace
+from .trace import load_trace, save_trace, synthetic_trace_arrays
 
 __all__ = ["add_serve_parser", "run_serve", "main"]
 
@@ -431,21 +431,23 @@ def _run_serve(args) -> int:
         rate = args.rate_fps
         if rate is None:
             rate = 0.7 * engine.plan.throughput_fps
+        # Generated as columns: the vectorized engine replays them as
+        # they are, and the scalar loop materializes them itself.
         if args.scenario is not None:
             scenario = get_scenario(args.scenario)
-            trace = scenario.to_trace(args.num_requests, rate_rps=rate,
-                                      seed=args.seed)
+            trace = scenario.to_trace_arrays(args.num_requests,
+                                             rate_rps=rate, seed=args.seed)
             print(f"scenario {scenario.name!r}: {len(trace)} requests at "
                   f"{rate:.1f} req/s mean offered "
                   f"({scenario.description})")
         else:
-            trace = synthetic_trace(args.num_requests, rate_rps=rate,
-                                    seed=args.seed,
-                                    priority_levels=args.priority_levels)
+            trace = synthetic_trace_arrays(
+                args.num_requests, rate_rps=rate, seed=args.seed,
+                priority_levels=args.priority_levels)
             print(f"synthetic trace: {len(trace)} requests at "
                   f"{rate:.1f} req/s offered")
         if args.save_trace is not None:
-            save_trace(trace, args.save_trace)
+            save_trace(trace.materialize(), args.save_trace)
             print(f"wrote trace -> {args.save_trace}")
     if fault_plan is not None:
         print(f"fault plan: {fault_plan.describe()}")

@@ -46,7 +46,15 @@ from ..search.pareto import select_index
 from .engine import ServingConfig, ServingEngine
 from .scheduler import SchedulerConfig
 from .sharding import recommended_chips
-from .trace import REPLAY_ORDER, Request, synthetic_trace
+# synthetic_trace is unused here but stays bound, and in __all__: the e2e
+# benchmark's traced mode rebinds this module attribute.  ROADMAP item 6
+# replaces that rebinding with stage marks, and this re-export goes then.
+from .trace import (
+    Request,
+    arrays_from_requests,
+    synthetic_trace,
+    synthetic_trace_arrays,
+)
 
 __all__ = [
     "SEARCH_RESULT_SCHEMA",
@@ -62,6 +70,7 @@ __all__ = [
     "brownout_plan_from_search",
     "ab_offered_load_sweep",
     "render_ab",
+    "synthetic_trace",
 ]
 
 # The contract constants live with the producer (repro.search.cli writes
@@ -461,9 +470,11 @@ def ab_offered_load_sweep(engines: Mapping[str, ServingEngine],
     across the fleets (or ``rate_fps`` pins absolute rates, ignoring
     ``load_factors``), and every fleet replays the *same* trace —
     identical arrivals, so latency/energy differences are attributable to
-    the operating point alone.  A recorded ``trace`` replaces the
-    synthetic sweep entirely: one row per fleet at the trace's own
-    measured arrival rate.
+    the operating point alone.  Each load's trace is built once, as
+    columns (:class:`~repro.serve.trace.TraceArrays`), and handed to
+    every fleet.  A recorded ``trace`` replaces the synthetic sweep
+    entirely: it is converted to columns once, and gives one row per
+    fleet at the trace's own measured arrival rate.
 
     Trace seeds are derived per job as ``SeedSequence([seed, job_index])``
     and passed explicitly to the generator — the sweep never consults
@@ -491,10 +502,10 @@ def ab_offered_load_sweep(engines: Mapping[str, ServingEngine],
 
         scenario = get_scenario(scenario)
     if trace is not None:
-        replay = sorted(trace, key=REPLAY_ORDER)
-        if not replay:
+        replay = arrays_from_requests(trace)
+        if not len(replay):
             raise ValueError("cannot A/B an empty trace")
-        span_ms = replay[-1].arrival_ms - replay[0].arrival_ms
+        span_ms = float(replay.arrival_ms[-1]) - float(replay.arrival_ms[0])
         offered = (len(replay) / span_ms * 1000.0 if span_ms > 0
                    else float(len(replay)))
         jobs = [(offered, replay)]
@@ -503,13 +514,15 @@ def ab_offered_load_sweep(engines: Mapping[str, ServingEngine],
         rates = ([rate_fps] if rate_fps is not None
                  else [factor * base for factor in load_factors])
         if scenario is not None:
-            jobs = [(rate, scenario.to_trace(num_requests, rate_rps=rate,
-                                             seed=_job_seed(seed, index)))
+            jobs = [(rate, scenario.to_trace_arrays(
+                        num_requests, rate_rps=rate,
+                        seed=_job_seed(seed, index)))
                     for index, rate in enumerate(rates)]
         else:
-            jobs = [(rate, synthetic_trace(num_requests, rate_rps=rate,
-                                           seed=_job_seed(seed, index),
-                                           priority_levels=priority_levels))
+            jobs = [(rate, synthetic_trace_arrays(
+                        num_requests, rate_rps=rate,
+                        seed=_job_seed(seed, index),
+                        priority_levels=priority_levels))
                     for index, rate in enumerate(rates)]
     rows: List[Dict] = []
     for rate, requests in jobs:

@@ -21,6 +21,7 @@ latency percentile — grow without bound.
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
@@ -56,8 +57,10 @@ class SchedulerConfig:
     def __post_init__(self):
         if self.max_batch_size < 1:
             raise ValueError("max_batch_size must be >= 1")
-        if self.window_ms < 0:
-            raise ValueError("window_ms must be >= 0")
+        # NaN and inf fail this too: a window that never expires would
+        # hold the last partial batch, and the replay, forever.
+        if not 0.0 <= self.window_ms < math.inf:
+            raise ValueError("window_ms must be finite and >= 0")
         if self.queue_depth < 1:
             raise ValueError("queue_depth must be >= 1")
         if self.policy not in POLICIES:

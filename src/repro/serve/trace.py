@@ -31,7 +31,7 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 import numpy as np
 
 __all__ = ["Request", "REPLAY_ORDER", "TraceArrays", "check_arrivals",
-           "arrays_from_requests", "synthetic_trace",
+           "replay_ordered", "arrays_from_requests", "synthetic_trace",
            "synthetic_trace_arrays", "save_trace", "load_trace"]
 
 _INF = float("inf")
@@ -154,16 +154,42 @@ class TraceArrays:
                             self.priority.tolist(), models)))
 
 
+def replay_ordered(trace: TraceArrays) -> TraceArrays:
+    """``trace`` with its rows in ``(arrival_ms, request_id)`` order.
+
+    Returns ``trace`` itself when arrivals never decrease and ids never
+    decrease on ties — an O(n) check that generator output always
+    passes — and otherwise a copy permuted by a stable ``np.lexsort``,
+    which orders rows exactly as a stable keyed sort by
+    :data:`REPLAY_ORDER` would.
+    """
+    arrival, ids = trace.arrival_ms, trace.request_id
+    if (arrival[:-1] <= arrival[1:]).all():
+        # Compared, not differenced: an int64 difference can wrap.
+        ties = arrival[:-1] == arrival[1:]
+        if not ties.any() or (ids[:-1][ties] <= ids[1:][ties]).all():
+            return trace
+    order = np.lexsort((ids, arrival))
+    model = trace.model
+    if model is not None:
+        model = tuple(model[k] for k in order.tolist())
+    return TraceArrays(arrival_ms=arrival[order], request_id=ids[order],
+                       priority=trace.priority[order], model=model)
+
+
 def arrays_from_requests(requests: Sequence[Request]) -> TraceArrays:
-    """Column form of an existing object trace, sorted by
-    ``(arrival_ms, request_id)`` — the replay order the engine imposes,
-    so replaying the arrays is replaying the list."""
-    ordered = sorted(requests, key=REPLAY_ORDER)
-    ids, arrival, priority, model = tuple(zip(*ordered)) or ((),) * 4
-    return TraceArrays(arrival_ms=np.array(arrival, dtype=np.float64),
-                       request_id=np.array(ids, dtype=np.int64),
-                       priority=np.array(priority, dtype=np.int64),
-                       model=model if any(model) else None)
+    """Column form of an existing object trace, in ``(arrival_ms,
+    request_id)`` order — the replay order the engine imposes, so
+    replaying the arrays is replaying the list.  Each column is read
+    straight off the rows, and the rows are sorted only when they are
+    out of order (see :func:`replay_ordered`)."""
+    n = len(requests)
+    model = tuple(map(itemgetter(3), requests))
+    return replay_ordered(TraceArrays(
+        arrival_ms=np.fromiter(map(itemgetter(1), requests), np.float64, n),
+        request_id=np.fromiter(map(itemgetter(0), requests), np.int64, n),
+        priority=np.fromiter(map(itemgetter(2), requests), np.int64, n),
+        model=model if any(model) else None))
 
 
 def synthetic_trace_arrays(num_requests: int, rate_rps: float, seed: int = 0,

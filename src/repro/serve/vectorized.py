@@ -47,7 +47,13 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .telemetry import TelemetryCollector
-from .trace import Request, TraceArrays, arrays_from_requests, check_arrivals
+from .trace import (
+    Request,
+    TraceArrays,
+    arrays_from_requests,
+    check_arrivals,
+    replay_ordered,
+)
 
 __all__ = ["replay_vectorized"]
 
@@ -333,19 +339,6 @@ def _saturated_stretch(arrival_ms: np.ndarray, i: int, now: float,
         per = min(4 * per, _CHUNK_MAX)
 
 
-def _in_replay_order(arrival_ms: np.ndarray,
-                     request_id: np.ndarray) -> bool:
-    """Whether the rows already sit in ``(arrival_ms, request_id)``
-    order — arrivals never decrease and ids never decrease on ties, so
-    a stable ``np.lexsort`` would return the identity.  O(n), where the
-    sort it saves is O(n log n); generator output always passes."""
-    step = np.diff(arrival_ms)
-    if not (step >= 0.0).all():
-        return False
-    ties = step == 0.0
-    return not ties.any() or bool((np.diff(request_id)[ties] >= 0).all())
-
-
 def replay_vectorized(engine, requests: Union[Sequence[Request],
                                               TraceArrays]
                       ) -> TelemetryCollector:
@@ -360,25 +353,20 @@ def replay_vectorized(engine, requests: Union[Sequence[Request],
     the replay's columns, whose ``summary()`` is byte-identical to the
     scalar engine's.
     """
-    trace = (requests if isinstance(requests, TraceArrays)
-             else arrays_from_requests(requests))
+    if isinstance(requests, TraceArrays):
+        # A column edited after construction must not reach Phase A: a
+        # NaN arrival would spin it forever, an infinite one grow it
+        # unbounded.
+        check_arrivals(requests.arrival_ms)
+        trace = replay_ordered(requests)
+    else:
+        trace = arrays_from_requests(requests)
     telemetry = TelemetryCollector(engine.config.num_chips,
                                    [ex.chip_ids for ex in engine.executors])
     for ex in engine.executors:
         ex.reset()
     if len(trace) == 0:
         return telemetry
-    # A column edited after construction must not reach Phase A: a NaN
-    # arrival would spin it forever, an infinite one grow it unbounded.
-    check_arrivals(trace.arrival_ms)
-    if not _in_replay_order(trace.arrival_ms, trace.request_id):
-        order = np.lexsort((trace.request_id, trace.arrival_ms))
-        model = (tuple(trace.model[k] for k in order.tolist())
-                 if trace.model is not None else None)
-        trace = TraceArrays(arrival_ms=trace.arrival_ms[order],
-                            request_id=trace.request_id[order],
-                            priority=trace.priority[order],
-                            model=model)
 
     plan = engine.plan
     cfg = engine.config.scheduler

@@ -1,4 +1,4 @@
-"""Importable test helpers (gradient checking).
+"""Importable test helpers (gradient checking, a time limit).
 
 Lives outside ``conftest.py`` so test modules can import it as a plain
 module (``from tests.helpers import gradcheck``) — relative imports from
@@ -6,6 +6,9 @@ conftest break pytest collection when the test tree is not a package.
 """
 
 from __future__ import annotations
+
+import signal
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -55,3 +58,19 @@ def gradcheck(build_loss, tensors, max_entries: int = 24,
         numeric = numerical_gradient(lambda: build_loss().data, tensor,
                                      max_entries=max_entries)
         assert_grad_close(tensor.grad, numeric, max_entries, atol, rtol)
+
+
+@contextmanager
+def deadline(seconds):
+    """Fail the block with TimeoutError, rather than hang, if it runs
+    longer than ``seconds``."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0.0)
+        signal.signal(signal.SIGALRM, previous)

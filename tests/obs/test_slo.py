@@ -13,6 +13,12 @@ class TestValidation:
         with pytest.raises(ValueError):
             SLO(p99_ms=0.0)
 
+    @pytest.mark.parametrize("target", [math.nan, math.inf, -math.inf],
+                             ids=["nan", "inf", "-inf"])
+    def test_rejects_non_finite_latency_target(self, target):
+        with pytest.raises(ValueError, match="finite and > 0"):
+            SLO(p99_ms=target)
+
     def test_rejects_out_of_range_availability(self):
         with pytest.raises(ValueError):
             SLO(availability=0.0)

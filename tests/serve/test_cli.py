@@ -7,6 +7,7 @@ import pytest
 from repro.analysis.cli import main
 from repro.bench.suites.serve import synthetic_search_payload
 from repro.serve.trace import save_trace, synthetic_trace
+from tests.helpers import deadline
 
 
 @pytest.fixture(scope="module")
@@ -49,6 +50,18 @@ class TestServeCommand:
         assert payload["completed"] == 30.0
         assert "latency_p99_ms" in payload
         assert "chip0_utilization" in payload
+
+    @pytest.mark.parametrize("window", ["inf", "nan"])
+    def test_non_finite_window_exits_2(self, capsys, window):
+        # Accepted, such a window held the last partial batch forever.
+        # (The CLI reports a TimeoutError as an OSError, so the message
+        # is checked too.)
+        with deadline(10.0):
+            assert main(["serve", "--num-requests", "21",
+                         "--window-ms", window]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: window_ms must be finite")
+        assert "Traceback" not in err
 
     def test_baseline_and_mode_flags(self, capsys):
         assert main(["serve", "--model", "resnet18", "--baseline",

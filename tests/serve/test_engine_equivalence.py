@@ -32,8 +32,6 @@ asking for ``vectorized`` explicitly is a hard error.
 """
 
 import json
-import signal
-from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -52,9 +50,10 @@ from repro.serve.trace import (
     Request,
     TraceArrays,
     arrays_from_requests,
+    replay_ordered,
     synthetic_trace_arrays,
 )
-from repro.serve.vectorized import _in_replay_order
+from tests.helpers import deadline
 
 CATALOG = sorted(list_scenarios())
 SEEDS = [3, 7, 11]
@@ -179,6 +178,15 @@ class TestConfigEdges:
         engine = make_engine(report)
         assert_identical(*summaries(engine, []))
 
+    def test_huge_finite_window_completes(self, report):
+        # The last, partial batch waits the whole window out; a finite
+        # one always expires (only NaN and inf are rejected).
+        engine = make_engine(report, window_ms=1e300)
+        with deadline(10.0):
+            scalar, vectorized = summaries(engine, self._trace(engine, n=21))
+        assert_identical(scalar, vectorized)
+        assert scalar["completed"] == 21
+
     def test_simultaneous_arrivals(self, report):
         engine = make_engine(report)
         requests = [Request(request_id=i, arrival_ms=float(5 * (i // 7)))
@@ -258,23 +266,9 @@ class TestRandomTraceProperties:
                 arrival, ids = arrival[order], ids[order]
             expected = np.array_equal(np.lexsort((ids, arrival)),
                                       np.arange(n))
-            assert _in_replay_order(arrival, ids) == expected, case
-
-
-@contextmanager
-def deadline(seconds):
-    """Fail the block with TimeoutError, rather than hang, if it runs
-    longer than ``seconds``."""
-    def expire(signum, frame):
-        raise TimeoutError(f"still running after {seconds} s")
-
-    previous = signal.signal(signal.SIGALRM, expire)
-    signal.setitimer(signal.ITIMER_REAL, seconds)
-    try:
-        yield
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0.0)
-        signal.signal(signal.SIGALRM, previous)
+            trace = TraceArrays(arrival_ms=arrival, request_id=ids,
+                                priority=np.zeros(n, dtype=np.int64))
+            assert (replay_ordered(trace) is trace) == expected, case
 
 
 class TestMutatedArrivalColumn:

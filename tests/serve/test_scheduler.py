@@ -21,6 +21,15 @@ class TestSchedulerConfig:
         with pytest.raises(ValueError):
             SchedulerConfig(policy="sjf")
 
+    @pytest.mark.parametrize("window", [float("nan"), float("inf"),
+                                        float("-inf")],
+                             ids=["nan", "inf", "-inf"])
+    def test_rejects_non_finite_window(self, window):
+        # A window that never expires holds the last partial batch, and
+        # the replay, forever.
+        with pytest.raises(ValueError, match="finite and >= 0"):
+            SchedulerConfig(window_ms=window)
+
 
 class TestBatchFormation:
     def test_full_batch_releases_immediately(self):
