@@ -6,12 +6,11 @@ promises at runtime:
 - **D-rules (determinism)** — no module-global RNG, no unseeded
   ``default_rng()``, no wall-clock reads or unordered-``set`` iteration
   inside the deterministic subsystems (``pim``, ``serve``, ``search``).
-- **M-rules (metrics/spans)** — every ``counter()/gauge()/histogram()``
-  name and ``span()/record()`` category must parse against the
-  namespace grammar and appear in the checked-in manifest
-  (``docs/metrics-manifest.json``), which is itself cross-checked
-  against ``docs/observability.md``.  A metric typo fails CI instead of
-  silently vanishing from a dashboard.
+- **M-rule (metrics/spans)** — metrics are declared once, in
+  :mod:`repro.obs.catalog`, and published through its ``publish``: a
+  ``counter()/gauge()/histogram()`` call outside ``repro/obs/``, or a
+  ``span()/record()`` category that is not a ``SPAN_CATEGORIES``
+  literal, fails CI instead of silently vanishing from a dashboard.
 - **H-rules (hot-loop hygiene)** — inside ``# reprolint: hot-loop``
   regions, no per-iteration allocations, no per-event tracer/metric
   calls, no f-string logging.
@@ -27,7 +26,6 @@ from .baseline import Baseline
 from .config import LintConfig
 from .engine import LintResult, run_lint
 from .findings import Finding
-from .manifest import MetricsManifest, generate_manifest
 from .rules import RULES, all_rule_ids
 
 __all__ = [
@@ -35,9 +33,7 @@ __all__ = [
     "Finding",
     "LintConfig",
     "LintResult",
-    "MetricsManifest",
     "RULES",
     "all_rule_ids",
-    "generate_manifest",
     "run_lint",
 ]

@@ -3,10 +3,8 @@
 Usage::
 
     python -m repro lint                     # lint src/ against the
-                                             # manifest + baseline
+                                             # baseline
     python -m repro lint --format=github     # CI annotations
-    python -m repro lint --write-manifest    # regenerate the metric
-                                             # manifest, then lint
     python -m repro lint --update-baseline   # re-record current findings
     python -m repro lint --list-rules        # rule catalog
     python -m repro lint path/to/file.py --no-baseline --select D,M
@@ -38,8 +36,8 @@ def add_lint_parser(subparsers) -> argparse.ArgumentParser:
     p.add_argument("paths", nargs="*", default=None,
                    help="files or directories to lint (default: src)")
     p.add_argument("--root", default=".",
-                   help="repository root (manifest/baseline/docs are "
-                        "resolved against it)")
+                   help="repository root (baseline/docs are resolved "
+                        "against it)")
     p.add_argument("--format", default="human", choices=sorted(FORMATS),
                    help="finding output format")
     p.add_argument("--select", default="",
@@ -54,10 +52,6 @@ def add_lint_parser(subparsers) -> argparse.ArgumentParser:
     p.add_argument("--update-baseline", action="store_true",
                    help="rewrite the baseline from the current findings "
                         "and exit 0")
-    p.add_argument("--manifest", default="docs/metrics-manifest.json",
-                   help="metrics manifest file (repo-root relative)")
-    p.add_argument("--write-manifest", action="store_true",
-                   help="regenerate the metrics manifest before linting")
     p.add_argument("--list-rules", action="store_true",
                    help="print the rule catalog and exit")
     return p
@@ -77,8 +71,6 @@ def run_lint_cli(args: argparse.Namespace) -> int:
         ignore=tuple(t.strip() for t in args.ignore.split(",")
                      if t.strip()),
         baseline_path=None if args.no_baseline else args.baseline,
-        manifest_path=args.manifest,
-        write_manifest=args.write_manifest,
     )
     try:
         result = run_lint(config)

@@ -3,10 +3,8 @@
 One :class:`FileContext` is built per Python file: the parsed AST with
 a parent map, an import-alias map (so ``np.random.default_rng`` and
 ``from numpy.random import default_rng`` resolve to the same dotted
-name), the ``# reprolint:`` directives found by tokenizing comments
-(inline suppressions, file suppressions, hot-loop region markers), and
-a single-assignment string-constant resolver used to fold metric names
-like ``f"{eng}.requests_completed"`` where ``eng`` is a local constant.
+name), and the ``# reprolint:`` directives found by tokenizing comments
+(inline suppressions, file suppressions, hot-loop region markers).
 """
 
 from __future__ import annotations
@@ -15,7 +13,7 @@ import ast
 import io
 import re
 import tokenize
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Set, Tuple
 
@@ -98,15 +96,13 @@ class FileContext:
     """Everything the per-file rules need about one source file."""
 
     def __init__(self, path: Path, relpath: str, source: str,
-                 tree: ast.Module, config: LintConfig,
-                 project: "ProjectContext"):
+                 tree: ast.Module, config: LintConfig):
         self.path = path
         self.relpath = relpath
         self.source = source
         self.lines = source.splitlines()
         self.tree = tree
         self.config = config
-        self.project = project
         self.imports = ImportMap(tree)
         self.parents: Dict[ast.AST, ast.AST] = {}
         for parent in ast.walk(tree):
@@ -144,57 +140,8 @@ class FileContext:
                     self.hot_regions.append(
                         HotRegion(node.lineno, node.end_lineno or
                                   node.lineno))
-        # ---- single-assignment string constants ---------------------
-        # name -> value for Names assigned exactly once to a str
-        # literal within each scope (module or function).  Used to fold
-        # f-string metric names; anything fancier stays unresolved.
-        self._scope_constants: Dict[Optional[ast.AST], Dict[str, str]] = {}
-        self._collect_constants(tree, None)
-        for node in ast.walk(tree):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                self._collect_constants(node, node)
 
     # ---- helpers ----------------------------------------------------
-    def _collect_constants(self, scope_node: ast.AST,
-                           key: Optional[ast.AST]) -> None:
-        counts: Dict[str, int] = {}
-        values: Dict[str, str] = {}
-
-        def visit(node: ast.AST, top: bool = False) -> None:
-            if not top and isinstance(
-                    node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                           ast.ClassDef, ast.Lambda)):
-                return      # nested scope: different namespace
-            if isinstance(node, ast.Assign) and len(node.targets) == 1 \
-                    and isinstance(node.targets[0], ast.Name) \
-                    and isinstance(node.value, ast.Constant) \
-                    and isinstance(node.value.value, str):
-                name = node.targets[0].id
-                counts[name] = counts.get(name, 0) + 1
-                values[name] = node.value.value
-                return      # target/value need no further scanning
-            else:
-                # Any other binding of a name disqualifies it.
-                if isinstance(node, ast.Name) \
-                        and isinstance(node.ctx, ast.Store):
-                    counts[node.id] = counts.get(node.id, 0) + 2
-                for child in ast.iter_child_nodes(node):
-                    visit(child)
-
-        visit(scope_node, top=True)
-        self._scope_constants[key] = {
-            name: value for name, value in values.items()
-            if counts.get(name) == 1}
-
-    def enclosing_function(self, node: ast.AST) \
-            -> Optional[ast.AST]:
-        cursor = self.parents.get(node)
-        while cursor is not None:
-            if isinstance(cursor, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                return cursor
-            cursor = self.parents.get(cursor)
-        return None
-
     def qualname(self, node: ast.AST) -> str:
         """Dotted def/class chain enclosing ``node`` ("" at module level)."""
         names: List[str] = []
@@ -205,58 +152,6 @@ class FileContext:
                 names.append(cursor.name)
             cursor = self.parents.get(cursor)
         return ".".join(reversed(names))
-
-    def lookup_constant(self, node: ast.AST, name: str) -> Optional[str]:
-        fn = self.enclosing_function(node)
-        while True:
-            value = self._scope_constants.get(fn, {}).get(name)
-            if value is not None:
-                return value
-            if fn is None:
-                return None
-            fn = self.enclosing_function(fn)
-
-    def fold_string(self, node: ast.AST, origin: ast.AST) \
-            -> Tuple[Optional[str], Optional[str]]:
-        """Try to resolve ``node`` to a compile-time string.
-
-        Returns ``(value, prefix)``: ``value`` is the full string when
-        every part folds; otherwise ``prefix`` is the longest constant
-        *leading* run (used to match wildcard manifest entries such as
-        ``pim.simulator.*``).  ``(None, None)`` means nothing folded.
-        """
-        if isinstance(node, ast.Constant) and isinstance(node.value, str):
-            return node.value, None
-        if isinstance(node, ast.Name):
-            value = self.lookup_constant(origin, node.id)
-            return (value, None) if value is not None else (None, None)
-        if isinstance(node, ast.JoinedStr):
-            parts: List[Optional[str]] = []
-            for piece in node.values:
-                if isinstance(piece, ast.Constant) \
-                        and isinstance(piece.value, str):
-                    parts.append(piece.value)
-                elif isinstance(piece, ast.FormattedValue) \
-                        and piece.format_spec is None:
-                    folded, _ = self.fold_string(piece.value, origin)
-                    parts.append(folded)
-                else:
-                    parts.append(None)
-            if all(p is not None for p in parts):
-                return "".join(parts), None
-            prefix = ""
-            for p in parts:
-                if p is None:
-                    break
-                prefix += p
-            return None, (prefix or None)
-        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add):
-            left, lpre = self.fold_string(node.left, origin)
-            right, _ = self.fold_string(node.right, origin)
-            if left is not None and right is not None:
-                return left + right, None
-            return None, (left or lpre)
-        return None, None
 
     def source_line(self, line: int) -> str:
         if 1 <= line <= len(self.lines):
@@ -279,12 +174,6 @@ def _parse_rules(spec: str) -> Set[str]:
 
 @dataclass
 class ProjectContext:
-    """Cross-file state: the manifest contract plus what the per-file
-    metric scan actually observed (consumed by the project rules)."""
+    """Cross-file state handed to the project rules."""
 
     config: LintConfig
-    manifest: Optional[object] = None          # MetricsManifest | None
-    observed_metrics: Set[str] = field(default_factory=set)
-    observed_prefixes: Set[str] = field(default_factory=set)
-    observed_span_categories: Set[str] = field(default_factory=set)
-    files: List[FileContext] = field(default_factory=list)

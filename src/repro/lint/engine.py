@@ -3,12 +3,10 @@
 One :func:`run_lint` call is one gate decision:
 
 1. discover ``*.py`` files under ``config.paths``;
-2. build a :class:`~repro.lint.context.FileContext` per file and
-   collect the metric-namespace observations (always — project rules
-   need the full picture even under ``--select``);
+2. build a :class:`~repro.lint.context.FileContext` per file;
 3. run the enabled per-file rules, dropping findings suppressed by an
    inline ``# reprolint: disable=`` pragma;
-4. run the enabled project rules (manifest/doc cross-checks);
+4. run the enabled project rules (doc cross-checks);
 5. fingerprint everything and split into *new* vs *baselined*.
 
 ``LintResult.exit_code`` is the CLI contract: 0 clean, 1 findings,
@@ -26,9 +24,7 @@ from .baseline import Baseline
 from .config import LintConfig
 from .context import FileContext, ProjectContext
 from .findings import Finding, assign_fingerprints
-from .manifest import MetricsManifest, generate_manifest
 from .rules import file_rules, project_rules
-from .rules.metrics import collect_observations
 
 __all__ = ["LintError", "LintResult", "run_lint"]
 
@@ -43,7 +39,6 @@ class LintResult:
     baselined: List[Finding] = field(default_factory=list)
     suppressed: int = 0
     files_checked: int = 0
-    manifest_written: bool = False
 
     @property
     def exit_code(self) -> int:
@@ -67,13 +62,6 @@ def run_lint(config: LintConfig) -> LintResult:
     result = LintResult()
     project = ProjectContext(config=config)
 
-    manifest_file = config.resolve(config.manifest_path)
-    if manifest_file.exists():
-        try:
-            project.manifest = MetricsManifest.load(manifest_file)
-        except (ValueError, OSError) as exc:
-            raise LintError(f"cannot load metrics manifest: {exc}") from exc
-
     # ---- per-file pass ----------------------------------------------
     contexts: List[FileContext] = []
     for path in _discover(config):
@@ -87,21 +75,9 @@ def run_lint(config: LintConfig) -> LintResult:
             if path.resolve().is_relative_to(config.root.resolve()) \
             else path.as_posix()
         ctx = FileContext(path=path, relpath=rel, source=source,
-                          tree=tree, config=config, project=project)
+                          tree=tree, config=config)
         contexts.append(ctx)
-        collect_observations(ctx)
-    project.files = contexts
     result.files_checked = len(contexts)
-
-    # ``--write-manifest`` regenerates the contract *before* the rules
-    # compare against it, so the run that writes it also proves it.
-    if config.write_manifest:
-        fresh = generate_manifest(project.observed_metrics,
-                                  project.observed_prefixes,
-                                  project.observed_span_categories)
-        fresh.write(manifest_file)
-        project.manifest = fresh
-        result.manifest_written = True
 
     raw: List[Finding] = []
     for ctx in contexts:

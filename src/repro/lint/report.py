@@ -59,8 +59,6 @@ def _summary(result: LintResult) -> str:
         bits.append(f"{len(result.baselined)} baselined")
     if result.suppressed:
         bits.append(f"{result.suppressed} suppressed inline")
-    if result.manifest_written:
-        bits.append("manifest written")
     return ", ".join(bits)
 
 

@@ -2,8 +2,8 @@
 
 A *file rule* visits one :class:`~repro.lint.context.FileContext` and
 yields findings; a *project rule* runs once per lint invocation over
-the :class:`~repro.lint.context.ProjectContext` (manifest/doc
-cross-checks, doc-flag existence).  Adding a rule = subclass, set the
+the :class:`~repro.lint.context.ProjectContext` (doc-flag
+existence).  Adding a rule = subclass, set the
 class attributes, decorate with :func:`register` — the engine, the CLI
 ``--select/--ignore`` matching, ``--list-rules`` and the docs table in
 ``docs/static-analysis.md`` all key off the registry.

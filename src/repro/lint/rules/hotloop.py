@@ -13,8 +13,9 @@ marked region these rules flag:
   per-iteration allocation is the classic silent 10x;
 - **H302** per-event observability calls anywhere in the region
   (``tracer.record/span``, ``.counter/.gauge/.histogram``, scalar
-  ``.observe``) — publication belongs after the loop, in bulk
-  (``observe_many`` and ``Tracer.add_source`` stay legal);
+  ``.observe``, and ``publish(...)``, bare or as an attribute) —
+  publication belongs after the loop, in bulk (``observe_many`` and
+  ``Tracer.add_source`` stay legal);
 - **H303** f-string/%-formatted ``print``/logger calls — the formatting
   runs even when the log level is off;
 - **H304** a dangling marker that attached to no statement.
@@ -33,7 +34,7 @@ _NP_ALLOCATORS = {"zeros", "ones", "empty", "full", "array", "arange",
                   "zeros_like", "ones_like", "empty_like", "full_like",
                   "eye", "identity", "tile", "repeat", "meshgrid"}
 _BUILTIN_ALLOCATORS = {"list", "dict", "set", "bytearray"}
-_OBS_METHODS = {"counter", "gauge", "histogram", "observe"}
+_OBS_METHODS = {"counter", "gauge", "histogram", "observe", "publish"}
 _LOG_LEVELS = {"debug", "info", "warning", "error", "critical",
                "exception", "log"}
 
@@ -112,21 +113,25 @@ class HotLoopObservability(FileRule):
                "publish in bulk after the loop (observe_many/add_source)")
 
     def check(self, ctx: FileContext) -> Iterator[Finding]:
+        from .metrics import _tracer_receiver
         for node in _hot_nodes(ctx):
-            if not isinstance(node, ast.Call) \
-                    or not isinstance(node.func, ast.Attribute):
+            if not isinstance(node, ast.Call):
                 continue
-            method = node.func.attr
-            from .metrics import _tracer_receiver
-            if method in _OBS_METHODS or (
-                    method in ("record", "span")
-                    and _tracer_receiver(node.func.value)):
-                yield self.finding(
-                    ctx, node.lineno, node.col_offset,
-                    f"per-event observability call '.{method}(...)' in a "
-                    f"hot-loop region; keep native records and publish "
-                    f"in bulk after the loop (observe_many / "
-                    f"Tracer.add_source)", node)
+            func = node.func
+            if isinstance(func, ast.Name) and func.id == "publish":
+                call = "publish(...)"
+            elif isinstance(func, ast.Attribute) and (
+                    func.attr in _OBS_METHODS
+                    or (func.attr in ("record", "span")
+                        and _tracer_receiver(func.value))):
+                call = f".{func.attr}(...)"
+            else:
+                continue
+            yield self.finding(
+                ctx, node.lineno, node.col_offset,
+                f"per-event observability call '{call}' in a hot-loop "
+                f"region; keep native records and publish in bulk after "
+                f"the loop (observe_many / Tracer.add_source)", node)
 
 
 @register

@@ -1,31 +1,25 @@
-"""M-rules: the metric/span namespace contract.
+"""M-rule: metrics and spans are published through the catalog.
 
-``docs/observability.md`` documents a closed namespace; these rules
-make a typo'd or undocumented name a CI failure instead of a silently
-missing dashboard series.  Metric *publication sites* are calls of the
-:class:`~repro.obs.metrics.MetricsRegistry` shape —
-``<recv>.counter(name, ...)`` / ``.gauge(...)`` / ``.histogram(...)`` —
-and span sites are ``<tracer>.span(name, category)`` /
-``<tracer>.record(name, category, ...)`` where the receiver looks like
-a tracer (named ``tracer``/``_tracer`` or ``get_tracer()``).
-
-Name literals fold through single-assignment local constants
-(``eng = "serve.engine"; registry.counter(f"{eng}.chips")`` resolves to
-``serve.engine.chips``); genuinely dynamic names are only allowed when
-a wildcard manifest family (``pim.simulator.*``) covers their constant
-prefix.
+Every metric is declared once, in :mod:`repro.obs.catalog`, whose
+:func:`~repro.obs.catalog.publish` checks each name and the catalog
+each row's grammar.  What is left to check statically is that nothing
+goes around it: a ``<recv>.counter/.gauge/.histogram(...)`` call
+outside ``repro/obs/`` would publish an undeclared, undocumented name,
+and a tracer span (``<tracer>.span(name, category)`` /
+``<tracer>.record(name, category, ...)`` on a receiver named
+``tracer``/``_tracer`` or ``get_tracer()``) must name a category the
+catalog lists in ``SPAN_CATEGORIES``, as a literal.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Iterator, Optional, Tuple
+from typing import Iterator, Optional
 
-from . import FileRule, ProjectRule, register
-from ..config import METRIC_NAME_RE, SPAN_CATEGORY_RE
-from ..context import FileContext, ProjectContext
+from . import FileRule, register
+from ..context import FileContext
 from ..findings import Finding
-from ..manifest import doc_metric_names
+from ...obs.catalog import SPAN_CATEGORIES
 
 _METRIC_METHODS = ("counter", "gauge", "histogram")
 _SPAN_METHODS = ("span", "record")
@@ -50,205 +44,34 @@ def _span_category_arg(node: ast.Call) -> Optional[ast.AST]:
     return None
 
 
-def metric_call_sites(ctx: FileContext) \
-        -> Iterator[Tuple[str, ast.Call, ast.AST]]:
-    """Yield ``(kind, call, name_node)``: kind is "metric" or "span"."""
-    for node in ast.walk(ctx.tree):
-        if not isinstance(node, ast.Call) \
-                or not isinstance(node.func, ast.Attribute):
-            continue
-        method = node.func.attr
-        if method in _METRIC_METHODS and node.args:
-            yield "metric", node, node.args[0]
-        elif method in _SPAN_METHODS \
-                and _tracer_receiver(node.func.value):
-            category = _span_category_arg(node)
-            if category is not None:
-                yield "span", node, category
-
-
-def collect_observations(ctx: FileContext) -> None:
-    """Record the file's resolved names/prefixes/categories into the
-    project context.  Run by the engine for every file regardless of
-    rule selection, so M204/M205 always see the full picture."""
-    for kind, call, name_node in metric_call_sites(ctx):
-        value, prefix = ctx.fold_string(name_node, call)
-        if kind == "span":
-            if value is not None:
-                ctx.project.observed_span_categories.add(value)
-        elif value is not None:
-            ctx.project.observed_metrics.add(value)
-        elif prefix:
-            ctx.project.observed_prefixes.add(prefix)
-
-
 @register
-class MetricNameGrammar(FileRule):
+class PublishThroughCatalog(FileRule):
     id = "M201"
-    name = "metric-name-grammar"
-    summary = ("metric/span name must parse as subsystem.component.metric "
-               "(snake_case, root in serve|search|pim|obs)")
+    name = "publish-through-catalog"
+    summary = ("metric accessor called outside repro/obs/ (use "
+               "repro.obs.catalog.publish), or a tracer span whose "
+               "category is not a SPAN_CATEGORIES literal")
 
     def check(self, ctx: FileContext) -> Iterator[Finding]:
-        for kind, call, name_node in metric_call_sites(ctx):
-            value, _ = ctx.fold_string(name_node, call)
-            if value is None:
-                continue        # dynamic names are M203's business
-            pattern = METRIC_NAME_RE if kind == "metric" \
-                else SPAN_CATEGORY_RE
-            if not pattern.match(value):
-                what = "metric name" if kind == "metric" \
-                    else "span category"
+        in_obs = "/repro/obs/" in f"/{ctx.relpath}"
+        for node in ast.walk(ctx.tree):
+            if not isinstance(node, ast.Call) \
+                    or not isinstance(node.func, ast.Attribute):
+                continue
+            method = node.func.attr
+            if method in _METRIC_METHODS and not in_obs:
                 yield self.finding(
-                    ctx, call.lineno, call.col_offset,
-                    f"{what} {value!r} does not parse against the "
-                    f"namespace grammar (docs/observability.md): "
-                    f"dotted snake_case under serve|search|pim|obs",
-                    call)
-
-
-@register
-class MetricNotInManifest(FileRule):
-    id = "M202"
-    name = "metric-not-in-manifest"
-    summary = ("published name missing from docs/metrics-manifest.json — "
-               "regenerate with --write-manifest and document it")
-
-    def check(self, ctx: FileContext) -> Iterator[Finding]:
-        manifest = ctx.project.manifest
-        for kind, call, name_node in metric_call_sites(ctx):
-            value, _ = ctx.fold_string(name_node, call)
-            if value is None:
-                continue
-            if kind == "metric":
-                known = manifest is not None \
-                    and manifest.covers_metric(value)
-            else:
-                known = manifest is not None \
-                    and manifest.covers_span_category(value)
-            if manifest is not None and not known:
-                what = "metric" if kind == "metric" else "span category"
-                yield self.finding(
-                    ctx, call.lineno, call.col_offset,
-                    f"{what} {value!r} is not in the metrics manifest; "
-                    f"run `python -m repro lint --write-manifest` and "
-                    f"document it in docs/observability.md", call)
-
-
-@register
-class DynamicMetricName(FileRule):
-    id = "M203"
-    name = "dynamic-metric-name"
-    summary = ("metric name is not statically resolvable and no wildcard "
-               "manifest family covers its constant prefix")
-
-    def check(self, ctx: FileContext) -> Iterator[Finding]:
-        manifest = ctx.project.manifest
-        for kind, call, name_node in metric_call_sites(ctx):
-            if kind != "metric":
-                continue
-            value, prefix = ctx.fold_string(name_node, call)
-            if value is not None:
-                continue
-            if manifest is not None and prefix \
-                    and manifest.covers_prefix(prefix):
-                continue
-            shown = f" (constant prefix {prefix!r})" if prefix else ""
-            yield self.finding(
-                ctx, call.lineno, call.col_offset,
-                f"metric name cannot be resolved statically{shown}; "
-                f"use a literal, a single-assignment local constant, or "
-                f"a wildcard manifest family covering the prefix", call)
-
-
-@register
-class ManifestDocsDrift(ProjectRule):
-    id = "M204"
-    name = "manifest-docs-drift"
-    summary = ("docs/metrics-manifest.json and docs/observability.md "
-               "disagree about the metric namespace")
-
-    def check_project(self, project: ProjectContext) -> Iterator[Finding]:
-        manifest = project.manifest
-        if manifest is None:
-            return
-        doc_path = project.config.resolve(project.config.observability_doc)
-        doc_rel = project.config.observability_doc
-        if not doc_path.exists():
-            yield Finding(rule=self.id, path=doc_rel, line=1, col=0,
-                          message="observability doc is missing but the "
-                                  "manifest exists")
-            return
-        names, wildcards, categories = doc_metric_names(
-            doc_path.read_text())
-
-        def documented(name: str) -> bool:
-            return name in names or any(
-                name.startswith(w[:-1]) for w in wildcards)
-
-        for category in manifest.span_categories:
-            if category not in categories:
-                yield Finding(
-                    rule=self.id, path=doc_rel, line=1, col=0,
-                    message=f"manifest span category {category!r} is not "
-                            f"documented in {doc_rel}")
-        # The reverse span direction is deliberately lenient: serve-side
-        # spans are synthesized lazily from telemetry tuples, not
-        # tracer.span()/record() calls, so the doc legitimately knows
-        # categories the call-site scan cannot see.
-        for name in manifest.metrics:
-            if not documented(name):
-                yield Finding(
-                    rule=self.id, path=doc_rel, line=1, col=0,
-                    message=f"manifest metric {name!r} is not documented "
-                            f"in {doc_rel}")
-        for wildcard in manifest.wildcards:
-            if wildcard not in wildcards and not documented(wildcard[:-2]):
-                yield Finding(
-                    rule=self.id, path=doc_rel, line=1, col=0,
-                    message=f"manifest family {wildcard!r} is not "
-                            f"documented in {doc_rel}")
-        for name in sorted(names):
-            if not manifest.covers_metric(name):
-                yield Finding(
-                    rule=self.id, path=doc_rel, line=1, col=0,
-                    message=f"{doc_rel} documents {name!r} but no code "
-                            f"publishes it (stale doc entry?)")
-
-
-@register
-class ManifestStale(ProjectRule):
-    id = "M205"
-    name = "manifest-stale"
-    summary = ("checked-in manifest does not match what a fresh scan "
-               "generates — run --write-manifest")
-
-    def check_project(self, project: ProjectContext) -> Iterator[Finding]:
-        from ..manifest import generate_manifest
-        rel = project.config.manifest_path
-        if project.manifest is None:
-            yield Finding(rule=self.id, path=rel, line=1, col=0,
-                          message=f"metrics manifest {rel} is missing; "
-                                  f"generate it with `python -m repro "
-                                  f"lint --write-manifest`")
-            return
-        fresh = generate_manifest(project.observed_metrics,
-                                  project.observed_prefixes,
-                                  project.observed_span_categories)
-        current = project.manifest.as_dict()
-        regenerated = fresh.as_dict()
-        if current == regenerated:
-            return
-        for key in ("metrics", "wildcards", "span_categories"):
-            missing = sorted(set(regenerated[key]) - set(current[key]))
-            stale = sorted(set(current[key]) - set(regenerated[key]))
-            if missing:
-                yield Finding(
-                    rule=self.id, path=rel, line=1, col=0,
-                    message=f"manifest is missing {key}: {missing} — "
-                            f"run --write-manifest")
-            if stale:
-                yield Finding(
-                    rule=self.id, path=rel, line=1, col=0,
-                    message=f"manifest lists {key} no scan observes: "
-                            f"{stale} — run --write-manifest")
+                    ctx, node.lineno, node.col_offset,
+                    f"direct '.{method}(...)' call: declare the metric in "
+                    f"repro.obs.catalog and publish it with "
+                    f"repro.obs.catalog.publish", node)
+            elif method in _SPAN_METHODS \
+                    and _tracer_receiver(node.func.value):
+                category = _span_category_arg(node)
+                if not (isinstance(category, ast.Constant)
+                        and category.value in SPAN_CATEGORIES):
+                    yield self.finding(
+                        ctx, node.lineno, node.col_offset,
+                        f"tracer '.{method}(...)' category must be a "
+                        f"string literal listed in repro.obs.catalog."
+                        f"SPAN_CATEGORIES", node)

@@ -7,6 +7,9 @@ The cross-subsystem instrumentation layer (docs/observability.md):
   per-observation retention);
 - :mod:`repro.obs.tracer` — span tracer exporting Chrome trace-event
   JSON (Perfetto-loadable) and JSONL; no-op by default;
+- :mod:`repro.obs.catalog` — every metric's one declaration (name,
+  kind, help, buckets) and ``publish``, the only way serve, search and
+  pim write a metric;
 - :mod:`repro.obs.runtime` — the installed tracer/registry the
   instrumented subsystems (serve, search, pim) resolve at call time;
 - :mod:`repro.obs.slo` — SLO definitions and attainment reports;

@@ -2,9 +2,10 @@
 
 Every subsystem publishes into one :class:`MetricsRegistry` under dotted,
 namespaced keys (``serve.engine.latency_ms``, ``search.gridcache.hits``,
-``pim.simulator.activation_rounds`` — the catalog lives in
-docs/observability.md), and the exporters in :mod:`repro.obs.export`
-serialize the whole registry as Prometheus text or JSONL.
+``pim.simulator.activation_rounds`` — each declared once in
+:mod:`repro.obs.catalog` and published through its ``publish``), and
+the exporters in :mod:`repro.obs.export` serialize the whole registry
+as Prometheus text or JSONL.
 
 Histograms keep **no per-observation state**: a fixed cumulative bucket
 vector plus :class:`P2Quantile` streaming estimators (Jain & Chlamtac's

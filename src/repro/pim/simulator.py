@@ -107,13 +107,11 @@ class SimCounters:
         monotone only between resets, so last-write-wins snapshots are
         the honest exposition.  CLIs call this once before exporting.
         """
+        from ..obs.catalog import publish
         if registry is None:
             from ..obs.runtime import get_metrics
             registry = get_metrics()
-        for name, value in self.as_dict().items():
-            registry.gauge(f"pim.simulator.{name}",
-                           help=f"simulator work counter: {name}"
-                           ).set(value)
+        publish(registry, "pim.simulator", self.as_dict())
 
 
 _COUNTERS = SimCounters()

@@ -29,6 +29,7 @@ from typing import TYPE_CHECKING, List, Optional, Sequence
 
 import numpy as np
 
+from ..obs.catalog import publish
 from ..obs.runtime import get_metrics, get_tracer
 from ..pim.lut import DEFAULT_LUT, ComponentLUT
 from .parallel import parallel_map
@@ -332,15 +333,11 @@ def _evolution_search_once(grid: CandidateGrid,
         parents = population[order[:search.num_parents]]
         population = breed(parents, search, matrices.num_options, rng)
 
-    metrics.counter("search.evolve.generations",
-                    help="evolution generations evaluated"
-                    ).inc(len(history))
-    metrics.counter("search.evolve.individuals",
-                    help="individuals scored"
-                    ).inc(len(history) * search.population_size)
-    metrics.gauge("search.evolve.best_reward",
-                  help="best reward of the last finished run"
-                  ).set(best_reward)
+    publish(metrics, "search.evolve", {
+        "generations": len(history),
+        "individuals": len(history) * search.population_size,
+        "best_reward": best_reward,
+    })
 
     if best_genome is None:      # pragma: no cover - population is never empty
         best_genome = population[0]

@@ -26,6 +26,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..models.specs import LayerSpec, NetworkSpec
+from ..obs.catalog import publish
 from ..obs.runtime import get_metrics
 from ..pim.config import DEFAULT_CONFIG, HardwareConfig
 from ..pim.lut import DEFAULT_LUT, ComponentLUT
@@ -341,13 +342,8 @@ def build_candidate_grid(spec: NetworkSpec,
         cache_enabled=cache is not None,
         workers=workers,
     )
-    registry = get_metrics()
-    registry.counter("search.gridcache.hits",
-                     help="persistent grid-cache cell hits").inc(hits)
-    registry.counter("search.gridcache.misses",
-                     help="grid cells simulated fresh").inc(misses)
-    registry.counter("search.gridcache.simulated",
-                     help="unique candidate simulations run").inc(len(todo))
+    publish(get_metrics(), "search.gridcache",
+            {"hits": hits, "misses": misses, "simulated": len(todo)})
     return CandidateGrid(spec=spec, candidates=per_layer, cache=cell_cache,
                          build_stats=stats)
 

@@ -32,6 +32,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..obs.catalog import publish
 from ..obs.runtime import get_metrics, get_tracer
 from ..pim.lut import DEFAULT_LUT, ComponentLUT
 from .parallel import parallel_map
@@ -269,9 +270,7 @@ def pareto_search(grid: CandidateGrid,
         genome = tuple(decode_genome(matrices, genomes[i]))
         points.append(ParetoPoint(genome=genome,
                                   eval=evaluate_assignment(grid, genome, lut)))
-    get_metrics().gauge("search.pareto.front_size",
-                        help="points on the last merged Pareto front"
-                        ).set(len(points))
+    publish(get_metrics(), "search.pareto", {"front_size": len(points)})
     return ParetoResult(points=points, layer_names=matrices.layer_names,
                         history=history, feasible=feasible)
 
@@ -344,10 +343,6 @@ def _pareto_search_once(grid: CandidateGrid,
             parents = population[order[:search.num_parents]]
         population = breed(parents, search, matrices.num_options, rng)
 
-    metrics.counter("search.pareto.generations",
-                    help="Pareto generations evaluated"
-                    ).inc(len(history))
-    metrics.gauge("search.pareto.archive_size",
-                  help="archive size at the end of the last run"
-                  ).set(len(archive_g))
+    publish(metrics, "search.pareto", {"generations": len(history),
+                                       "archive_size": len(archive_g)})
     return archive_g, archive_o, history

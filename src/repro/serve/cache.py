@@ -20,6 +20,7 @@ from typing import Callable, Dict, Optional
 
 from ..core.designer import EpitomeAssignment, build_deployments
 from ..models.specs import NetworkSpec
+from ..obs.catalog import publish
 from ..obs.runtime import get_metrics
 from ..pim.config import DEFAULT_CONFIG, HardwareConfig
 from ..pim.lut import DEFAULT_LUT, ComponentLUT
@@ -136,20 +137,17 @@ class DeploymentCache:
         registry = get_metrics()
         if key in self._entries:
             self.hits += 1
-            registry.counter("serve.cache.hits",
-                             help="deployment-cache key hits").inc()
+            publish(registry, "serve.cache", {"hits": 1})
             self._entries.move_to_end(key)
             return self._entries[key]
         self.misses += 1
-        registry.counter("serve.cache.misses",
-                         help="deployment-cache compiles").inc()
+        publish(registry, "serve.cache", {"misses": 1})
         report = builder()
         self._entries[key] = report
         if len(self._entries) > self.capacity:
             self._entries.popitem(last=False)
             self.evictions += 1
-            registry.counter("serve.cache.evictions",
-                             help="LRU evictions").inc()
+            publish(registry, "serve.cache", {"evictions": 1})
         return report
 
     def deploy(self, spec: NetworkSpec,

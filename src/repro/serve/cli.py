@@ -305,6 +305,8 @@ def _build_engine(args, resilience=None) -> ServingEngine:
 def run_serve(args) -> int:
     try:
         return _run_serve(args)
+    except TimeoutError:
+        raise       # an OSError, but a stuck run is not a user error
     except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -28,6 +28,7 @@ import numpy as np
 from ..core.designer import EpitomeAssignment, uniform_assignment
 from ..core.export import deployments_from_manifest
 from ..models.specs import NetworkSpec, get_network_spec
+from ..obs.catalog import publish
 from ..obs.metrics import MetricsRegistry
 from ..obs.runtime import get_metrics, get_tracer
 from ..obs.tracer import Tracer
@@ -891,137 +892,43 @@ class ServingEngine:
                          faults_active: bool = False,
                          resilience: Optional[dict] = None) -> None:
         """Bulk post-run publication under ``serve.engine.*`` /
-        ``serve.scheduler.*`` — plus ``serve.faults.*`` when a fault plan
-        was supplied (docs/observability.md).  Deliberately not
-        per-event: one vectorized ``observe_many`` per histogram keeps the
-        instrumented hot loop indistinguishable from the bare one."""
-        eng = "serve.engine"
-        registry.counter(f"{eng}.requests_completed",
-                         help="requests served to completion"
-                         ).inc(telemetry.num_completed)
-        registry.counter(f"{eng}.requests_rejected",
-                         help="requests shed by the bounded queue"
-                         ).inc(telemetry.num_rejected)
-        registry.counter(f"{eng}.batches_dispatched",
-                         help="micro-batches executed"
-                         ).inc(telemetry.num_batches)
-        registry.gauge(f"{eng}.chips",
-                       help="chips provisioned by the shard plan"
-                       ).set(self.config.num_chips)
-        registry.gauge(f"{eng}.throughput_fps",
-                       help="achieved completions/s of the last run"
-                       ).set(telemetry.throughput_fps())
+        ``serve.scheduler.*``, plus ``serve.faults.*`` when a fault plan
+        was supplied and ``serve.resilience.*`` when armed
+        (docs/observability.md).  Deliberately not per-event: one
+        vectorized ``observe_many`` per histogram keeps the instrumented
+        hot loop indistinguishable from the bare one."""
+        engine = {
+            "requests_completed": telemetry.num_completed,
+            "requests_rejected": telemetry.num_rejected,
+            "batches_dispatched": telemetry.num_batches,
+            "chips": self.config.num_chips,
+            "throughput_fps": telemetry.throughput_fps(),
+        }
         if telemetry.num_completed:
             latency = telemetry.latency_values()
             wait = telemetry.wait_values()
-            registry.histogram(f"{eng}.latency_ms",
-                               help="end-to-end request latency (ms)"
-                               ).observe_many(latency)
-            registry.histogram(f"{eng}.wait_ms",
-                               help="queueing delay (ms)"
-                               ).observe_many(wait)
-            registry.histogram(f"{eng}.service_ms",
-                               help="chip service time (ms)"
-                               ).observe_many(latency - wait)
+            engine.update(latency_ms=latency, wait_ms=wait,
+                          service_ms=latency - wait)
         if telemetry.num_batches:
-            registry.histogram(
-                f"{eng}.batch_size",
-                buckets=(1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0),
-                help="formed micro-batch sizes"
-                ).observe_many(telemetry.batch_size_values())
+            engine["batch_size"] = telemetry.batch_size_values()
         if telemetry.num_queue_samples:
-            registry.histogram(
-                f"{eng}.queue_depth",
-                buckets=(0.0, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0,
-                         128.0, 256.0),
-                help="queue depth at engine events"
-                ).observe_many(telemetry.queue_depth_values())
+            engine["queue_depth"] = telemetry.queue_depth_values()
+        publish(registry, "serve.engine", engine)
         if faults_active:
-            flt = "serve.faults"
-            by_kind = {"chip-kill": 0, "straggler": 0, "cache-wipe": 0}
-            for event in telemetry.fault_events:
-                kind = event.get("kind")
-                if kind in by_kind:
-                    by_kind[kind] += 1
-            registry.counter(f"{flt}.injected",
-                             help="fault events applied to the run"
-                             ).inc(len(telemetry.fault_events))
-            registry.counter(f"{flt}.chip_kills",
-                             help="chip-kill events applied"
-                             ).inc(by_kind["chip-kill"])
-            registry.counter(f"{flt}.stragglers",
-                             help="straggler events applied"
-                             ).inc(by_kind["straggler"])
-            registry.counter(f"{flt}.cache_wipes",
-                             help="cache-wipe events applied"
-                             ).inc(by_kind["cache-wipe"])
-            registry.counter(f"{flt}.retries",
-                             help="in-flight requests requeued by failover"
-                             ).inc(telemetry.num_retried)
-            registry.counter(f"{flt}.failovers",
-                             help="chip kills survived by re-routing to "
-                                  "replicas"
-                             ).inc(telemetry.num_failovers)
-            registry.counter(f"{flt}.unrecoverable",
-                             help="requests lost to faults (counted "
-                                  "against availability)"
-                             ).inc(telemetry.num_failed)
-            registry.gauge(f"{flt}.chips_lost",
-                           help="chips dead at end of run"
-                           ).set(sum(len(ex.chip_ids)
-                                     for ex in self.executors
-                                     if not ex.alive))
+            kinds = [event.get("kind") for event in telemetry.fault_events]
+            publish(registry, "serve.faults", {
+                "injected": len(kinds),
+                "chip_kills": kinds.count("chip-kill"),
+                "stragglers": kinds.count("straggler"),
+                "cache_wipes": kinds.count("cache-wipe"),
+                "retries": telemetry.num_retried,
+                "failovers": telemetry.num_failovers,
+                "unrecoverable": telemetry.num_failed,
+                "chips_lost": sum(len(ex.chip_ids) for ex in self.executors
+                                  if not ex.alive),
+            })
         if resilience is not None:
-            res = "serve.resilience"
-            registry.counter(f"{res}.admitted",
-                             help="arrivals admitted past the gate"
-                             ).inc(resilience["admitted"])
-            registry.counter(f"{res}.admission_shed",
-                             help="arrivals shed by admission control"
-                             ).inc(resilience["admission_shed"])
-            registry.counter(f"{res}.shed_queue_delay",
-                             help="sheds by the CoDel delay controller"
-                             ).inc(resilience["shed_queue_delay"])
-            registry.counter(f"{res}.shed_token_bucket",
-                             help="sheds by the rate token bucket"
-                             ).inc(resilience["shed_token_bucket"])
-            registry.gauge(f"{res}.retry_budget",
-                           help="failover retry slots granted to the run"
-                           ).set(resilience["retry_budget"])
-            registry.counter(f"{res}.retries_scheduled",
-                             help="budgeted failover retries scheduled"
-                             ).inc(resilience["retries_scheduled"])
-            registry.counter(f"{res}.retry_exhausted",
-                             help="retry requests denied by the budget "
-                                  "or attempt cap"
-                             ).inc(resilience["retry_exhausted"])
-            registry.counter(f"{res}.breaker_opens",
-                             help="circuit-breaker open transitions"
-                             ).inc(resilience["breaker_opens"])
-            registry.counter(f"{res}.breaker_probes",
-                             help="half-open probe dispatches"
-                             ).inc(resilience["breaker_probes"])
-            registry.counter(f"{res}.breaker_closes",
-                             help="breaker episodes closed by a healthy "
-                                  "probe"
-                             ).inc(resilience["breaker_closes"])
-            registry.counter(f"{res}.fail_open_batches",
-                             help="batches served through open breakers "
-                                  "because no live replica was healthy"
-                             ).inc(resilience["fail_open_batches"])
-            registry.counter(f"{res}.brownout_entries",
-                             help="down-shifts to the degraded plan"
-                             ).inc(resilience["brownout_entries"])
-            registry.counter(f"{res}.brownout_exits",
-                             help="recoveries back to the primary plan"
-                             ).inc(resilience["brownout_exits"])
-            registry.gauge(f"{res}.brownout_ms",
-                           help="simulated ms spent browned out"
-                           ).set(resilience["brownout_ms"])
-            registry.counter(f"{res}.degraded_completions",
-                             help="requests served at the degraded "
-                                  "operating point"
-                             ).inc(resilience["degraded_completions"])
+            publish(registry, "serve.resilience", resilience)
         scheduler.publish_metrics(registry)
 
     # ------------------------------------------------------------------

@@ -25,6 +25,7 @@ import math
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
+from ..obs.catalog import publish
 from .trace import Request
 
 __all__ = ["SchedulerConfig", "Batch", "MicroBatchScheduler"]
@@ -233,12 +234,8 @@ class MicroBatchScheduler:
         """Fold this scheduler's lifetime counters into a
         :class:`~repro.obs.metrics.MetricsRegistry` under
         ``serve.scheduler.*`` (the engine calls this once per run)."""
-        registry.counter("serve.scheduler.submitted",
-                         help="requests offered to the scheduler"
-                         ).inc(self.num_submitted)
-        registry.counter("serve.scheduler.shed",
-                         help="requests rejected by the bounded queue"
-                         ).inc(self.num_rejected)
-        registry.counter("serve.scheduler.batches_formed",
-                         help="micro-batches released"
-                         ).inc(self.num_batches)
+        publish(registry, "serve.scheduler", {
+            "submitted": self.num_submitted,
+            "shed": self.num_rejected,
+            "batches_formed": self.num_batches,
+        })

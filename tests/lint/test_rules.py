@@ -10,16 +10,13 @@ import textwrap
 import pytest
 
 from repro.lint import LintConfig, run_lint
-from repro.lint.manifest import MetricsManifest
 
 
 def lint_source(tmp_path, source, relpath="src/pkg/serve/mod.py",
-                manifest=None, **config_kw):
+                **config_kw):
     path = tmp_path / relpath
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(textwrap.dedent(source))
-    if manifest is not None:
-        manifest.write(tmp_path / "docs/metrics-manifest.json")
     config = LintConfig(root=tmp_path, paths=("src",),
                         baseline_path=None, **config_kw)
     return run_lint(config)
@@ -122,112 +119,84 @@ def test_d104_allows_sorted_set(tmp_path):
 
 
 # ---------------------------------------------------------------------
-# M-rules
+# M-rule
 # ---------------------------------------------------------------------
-
-MANIFEST = MetricsManifest(metrics=["serve.engine.latency_ms",
-                                    "serve.engine.chips"],
-                           wildcards=["pim.simulator.*"],
-                           span_categories=["search.evolve"])
-
+# M201 is the one M rule: repro.obs.catalog declares and checks every
+# name, so lint keeps metric accessors out of call sites and tracer
+# categories to SPAN_CATEGORIES literals.  The fixtures keep the names
+# they had when M201-M205 checked call sites against a manifest; each
+# docstring says what it holds now.
 
 def test_m201_flags_bad_grammar(tmp_path):
+    """The catalog checks grammar where it loads; a call site that
+    names a metric is flagged whatever the name."""
     result = lint_source(tmp_path, """
         def publish(registry):
             registry.counter("serve.engine.CamelCase").inc()
             registry.gauge("frontend.engine.chips").set(1)
             registry.counter("serve.only_two").inc()
-    """, manifest=MANIFEST, select=("M201",))
+    """, select=("M",))
     assert rules_of(result) == ["M201", "M201", "M201"]
+    assert "repro.obs.catalog" in result.findings[0].message
 
 
 def test_m202_flags_name_missing_from_manifest(tmp_path):
+    """Declared or not, a direct accessor call is flagged; publishing
+    through the catalog is the idiom that passes."""
     result = lint_source(tmp_path, """
-        def publish(registry):
-            registry.histogram("serve.engine.latency_ms").observe(1)
+        def publish_all(registry, values):
+            registry.histogram("serve.engine.latency_ms").observe_many(
+                values)
             registry.counter("serve.engine.latencyy_ms").inc()
-    """, manifest=MANIFEST, select=("M202",))
-    assert rules_of(result) == ["M202"]
-    assert "latencyy" in result.findings[0].message
+            publish(registry, "serve.engine", {"latency_ms": values})
+    """, select=("M",))
+    assert rules_of(result) == ["M201", "M201"]
+    assert [f.line for f in result.findings] == [3, 5]
 
 
 def test_m202_folds_local_constant_fstrings(tmp_path):
+    """Nothing folds a name built from local constants any more: the
+    call is the finding, whatever its name folds to."""
     result = lint_source(tmp_path, """
         def publish(registry):
             eng = "serve.engine"
             registry.gauge(f"{eng}.chips").set(2)
             registry.gauge(f"{eng}.chipz").set(2)
-    """, manifest=MANIFEST, select=("M202",))
-    assert rules_of(result) == ["M202"]
-    assert "chipz" in result.findings[0].message
-
-
-def test_m202_checks_span_categories(tmp_path):
-    result = lint_source(tmp_path, """
-        def trace(tracer):
-            with tracer.span("generation[0]", "search.evolve"):
-                pass
-            tracer.record("gen", "search.evolvee", 0.0, 1.0)
-    """, manifest=MANIFEST, select=("M202",))
-    assert rules_of(result) == ["M202"]
-    assert "evolvee" in result.findings[0].message
+    """, select=("M",))
+    assert rules_of(result) == ["M201", "M201"]
 
 
 def test_m203_dynamic_name_needs_wildcard_cover(tmp_path):
-    result = lint_source(tmp_path, """
+    """No wildcard covers a dynamic name: outside repro/obs/ each one
+    is flagged, and inside it, where ``publish`` names metrics from
+    catalog rows, none is."""
+    source = """
         def publish(registry, fields):
             for name in fields:
                 registry.gauge(f"pim.simulator.{name}").set(1)
                 registry.gauge(f"pim.mystery.{name}").set(1)
-    """, manifest=MANIFEST, select=("M203",))
-    assert rules_of(result) == ["M203"]
-    assert "pim.mystery." in result.findings[0].message
+    """
+    result = lint_source(tmp_path, source, select=("M",))
+    assert rules_of(result) == ["M201", "M201"]
+    inside = lint_source(tmp_path / "obs", source,
+                         relpath="src/repro/obs/catalog.py", select=("M",))
+    assert inside.findings == []
 
 
-def test_m205_missing_and_stale_manifest(tmp_path):
-    missing = lint_source(tmp_path, """
-        def publish(registry):
-            registry.counter("serve.engine.chips").inc()
-    """, select=("M205",))
-    assert rules_of(missing) == ["M205"]
-    stale = lint_source(tmp_path, """
-        def publish(registry):
-            registry.counter("serve.engine.chips").inc()
-    """, manifest=MANIFEST, select=("M205",))
-    assert {f.rule for f in stale.findings} == {"M205"}
-    messages = " ".join(f.message for f in stale.findings)
-    assert "latency_ms" in messages          # manifest-only -> stale
-
-
-def test_m204_docs_drift_both_directions(tmp_path):
-    (tmp_path / "docs").mkdir()
-    (tmp_path / "docs/observability.md").write_text(
-        "| `serve.engine.latency_ms` | histogram |\n"
-        "| `serve.engine.ghost_metric` | counter |\n")
+def test_m202_checks_span_categories(tmp_path):
     result = lint_source(tmp_path, """
-        def publish(registry):
-            registry.histogram("serve.engine.latency_ms").observe(1)
-            registry.gauge("serve.engine.chips").set(1)
-    """, manifest=MetricsManifest(
-        metrics=["serve.engine.latency_ms", "serve.engine.chips"]),
-        select=("M204",))
-    messages = " ".join(f.message for f in result.findings)
-    assert "serve.engine.chips" in messages       # undocumented
-    assert "ghost_metric" in messages             # doc-only
-
-
-def test_m204_relative_doc_tokens_expand(tmp_path):
-    (tmp_path / "docs").mkdir()
-    (tmp_path / "docs/observability.md").write_text(
-        "| `serve.faults.chip_kills` / `.stragglers` | counter |\n")
-    result = lint_source(tmp_path, """
-        def publish(registry):
-            registry.counter("serve.faults.chip_kills").inc()
-            registry.counter("serve.faults.stragglers").inc()
-    """, manifest=MetricsManifest(
-        metrics=["serve.faults.chip_kills", "serve.faults.stragglers"]),
-        select=("M204",))
-    assert result.findings == []
+        def trace(tracer, category):
+            with tracer.span("generation[0]", "search.evolve"):
+                pass
+            tracer.record("gen", "search.pareto", 0.0, 1.0)
+            tracer.record("gen", "search.evolvee", 0.0, 1.0)
+            tracer.record("gen", category, 0.0, 1.0)
+            with tracer.span("untitled"):
+                pass
+            other.record("not a tracer", "whatever")
+    """, select=("M",))
+    assert rules_of(result) == ["M201", "M201", "M201"]
+    assert [f.line for f in result.findings] == [6, 7, 8]
 
 
 # ---------------------------------------------------------------------
@@ -280,6 +249,22 @@ def test_h302_flags_per_event_observability(tmp_path):
             hist.observe_many(latencies)    # bulk: sanctioned
     """, select=("H302",))
     assert rules_of(result) == ["H302", "H302", "H302"]
+
+
+def test_h302_flags_publish_calls_in_hot_regions(tmp_path):
+    result = lint_source(tmp_path, """
+        # reprolint: hot-loop
+        def dispatch(events, registry, counters):
+            for event in events:
+                publish(registry, "serve.engine", {"chips": 1})
+                counters.publish(registry)
+            self._publish_metrics(registry)     # not named publish
+
+        def after(registry):
+            publish(registry, "serve.engine", {"chips": 1})
+    """, select=("H302",))
+    assert rules_of(result) == ["H302", "H302"]
+    assert [f.line for f in result.findings] == [5, 6]
 
 
 def test_h303_flags_fstring_logging(tmp_path):

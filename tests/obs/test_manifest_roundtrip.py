@@ -1,19 +1,22 @@
-"""The metrics manifest is exact: a serve+search smoke run publishes
-every metric the static analyzer recorded in
-``docs/metrics-manifest.json`` — and nothing else.
+"""The metric catalog is exact at runtime: a serve+search+pim smoke
+run publishes every metric ``repro.obs.catalog`` declares, and nothing
+else, and records a span in every declared span category.
 
-This closes the loop from the other side of ``python -m repro lint``:
-M202/M205 prove code-vs-manifest statically; this proves the manifest
-against the *runtime* registry, so a name that only exists when the
-code actually runs (conditional publication, dead instrumentation)
-cannot drift either way unnoticed.
+The catalog is the repo's metric manifest (it replaced
+docs/metrics-manifest.json, and the tests keep the manifest's names).
+This closes the loop from the other side of it: ``publish`` refuses
+undeclared names and ``repro lint`` (M201) keeps publication going
+through it, while this proves every row is still published somewhere,
+so dead declarations cannot pile up unnoticed.  The smoke's
+``# HELP``/``# TYPE`` lines are pinned too.
 """
 
 import pytest
 
-from repro.lint.manifest import MetricsManifest
 from repro.models.specs import resnet18_spec
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.catalog import SPAN_CATEGORIES, metric_names
+from repro.obs.export import prometheus_text
+from repro.obs.metrics import Gauge, MetricsRegistry
 from repro.obs.runtime import use_metrics, use_tracer
 from repro.obs.tracer import Tracer
 from repro.pim.simulator import sim_counters
@@ -31,7 +34,8 @@ from repro.serve.trace import synthetic_trace
 
 from tests.lint.test_engine import REPO_ROOT
 
-MANIFEST_PATH = REPO_ROOT / "docs" / "metrics-manifest.json"
+HEADERS_GOLDEN = (REPO_ROOT / "tests" / "baselines" / "obs"
+                  / "smoke-help-type.txt")
 
 
 @pytest.fixture(scope="module")
@@ -73,49 +77,71 @@ def smoke():
     return registry, tracer
 
 
-@pytest.fixture(scope="module")
-def manifest():
-    return MetricsManifest.load(MANIFEST_PATH)
-
-
-def test_every_runtime_metric_is_in_the_manifest(smoke, manifest):
+def test_every_runtime_metric_is_in_the_manifest(smoke):
     registry, _ = smoke
+    declared = set(metric_names())
     unsanctioned = [name for name in registry.names()
-                    if not manifest.covers_metric(name)]
+                    if name not in declared]
     assert unsanctioned == []
 
 
-def test_every_manifest_metric_is_published_at_runtime(smoke, manifest):
+def test_every_manifest_metric_is_published_at_runtime(smoke):
     registry, _ = smoke
     published = set(registry.names())
-    unpublished = [name for name in manifest.metrics
+    unpublished = [name for name in metric_names()
                    if name not in published]
     assert unpublished == []
 
 
-def test_every_manifest_wildcard_has_runtime_members(smoke, manifest):
+def test_every_manifest_wildcard_has_runtime_members(smoke):
+    """``pim.simulator``, the manifest's one wildcard family, is
+    declared member by member now: each member is published, as a
+    gauge carrying the help the catalog gives it."""
     registry, _ = smoke
-    published = registry.names()
-    for family in manifest.wildcards:
-        prefix = family[:-1]                 # "pim.simulator.*" -> prefix
-        members = [n for n in published if n.startswith(prefix)]
-        assert members, f"wildcard {family} matched nothing at runtime"
+    prefix = "pim.simulator."
+    declared = [n for n in metric_names() if n.startswith(prefix)]
+    assert declared
+    assert [n for n in registry.names() if n.startswith(prefix)] == declared
+    for name in declared:
+        gauge = registry.get(name)
+        assert isinstance(gauge, Gauge)
+        assert gauge.help == ("simulator work counter: "
+                              + name[len(prefix):])
 
 
-def test_manifest_span_categories_are_emitted(smoke, manifest):
+def test_manifest_span_categories_are_emitted(smoke):
     _, tracer = smoke
     observed = {span.category for span in tracer.spans}
-    missing = [cat for cat in manifest.span_categories
-               if cat not in observed]
+    missing = [cat for cat in SPAN_CATEGORIES if cat not in observed]
     assert missing == []
 
 
 def test_smoke_exercised_every_family(smoke):
-    """Guard the fixture itself: if a subsystem stops publishing, the
-    subset assertions above would pass vacuously."""
+    """Guard the fixture itself: a family the smoke stops reaching is
+    named here, not just as a missing row of the catalog comparison."""
     registry, _ = smoke
     roots = {name.split(".", 2)[0] + "." + name.split(".", 2)[1]
              for name in registry.names()}
     assert {"serve.engine", "serve.scheduler", "serve.faults",
             "serve.cache", "search.gridcache", "search.evolve",
             "search.pareto", "pim.simulator"} <= roots
+
+
+def test_help_and_type_lines_match_golden(smoke, update_goldens):
+    """Every family's ``# HELP``/``# TYPE`` exposition lines, pinned:
+    the scalar-telemetry digests cover only the four serve families
+    they replay, so this is what holds ``serve.cache``, ``search.*``
+    and ``pim.simulator.*`` headers still."""
+    registry, _ = smoke
+    rendered = "".join(
+        line + "\n" for line in prometheus_text(registry).splitlines()
+        if line.startswith(("# HELP ", "# TYPE ")))
+    if update_goldens:
+        HEADERS_GOLDEN.parent.mkdir(parents=True, exist_ok=True)
+        HEADERS_GOLDEN.write_text(rendered)
+    assert HEADERS_GOLDEN.exists(), (
+        f"golden fixture {HEADERS_GOLDEN.name} missing — run "
+        f"pytest --update-goldens to create it")
+    assert rendered == HEADERS_GOLDEN.read_text(), (
+        f"# HELP/# TYPE lines drifted from {HEADERS_GOLDEN.name} — if "
+        f"the change is intentional, refresh with pytest --update-goldens")

@@ -6,6 +6,7 @@ import pytest
 
 from repro.analysis.cli import main
 from repro.bench.suites.serve import synthetic_search_payload
+from repro.serve.engine import ServingEngine
 from repro.serve.trace import save_trace, synthetic_trace
 from tests.helpers import deadline
 
@@ -54,14 +55,24 @@ class TestServeCommand:
     @pytest.mark.parametrize("window", ["inf", "nan"])
     def test_non_finite_window_exits_2(self, capsys, window):
         # Accepted, such a window held the last partial batch forever.
-        # (The CLI reports a TimeoutError as an OSError, so the message
-        # is checked too.)
+        # (A hang would end in the deadline's TimeoutError, which the
+        # CLI lets propagate; the message pins which error exited 2.)
         with deadline(10.0):
             assert main(["serve", "--num-requests", "21",
                          "--window-ms", window]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: window_ms must be finite")
         assert "Traceback" not in err
+
+    def test_timeout_during_a_run_propagates(self, monkeypatch):
+        # TimeoutError is an OSError, yet a run that times out is not a
+        # user error: it must not become "error: ..." with exit 2.
+        def stuck(self, *args, **kwargs):
+            raise TimeoutError("still running after 30.0 s")
+
+        monkeypatch.setattr(ServingEngine, "serve", stuck)
+        with pytest.raises(TimeoutError, match="still running"):
+            main(["serve", "--num-requests", "21"])
 
     def test_baseline_and_mode_flags(self, capsys):
         assert main(["serve", "--model", "resnet18", "--baseline",
