@@ -11,10 +11,13 @@ Histograms keep **no per-observation state**: a fixed cumulative bucket
 vector plus :class:`P2Quantile` streaming estimators (Jain & Chlamtac's
 P² algorithm — five markers per tracked quantile, O(1) memory and update
 cost), so a million-request replay publishes latency percentiles without
-retaining a million records.  ``observe_many`` takes the bucket counts
-through numpy and caps the quantile-marker updates at
-:data:`P2_SAMPLE_CAP` stride-sampled values per call, keeping bulk
-publication O(buckets + cap) regardless of batch size.
+retaining a million records.  ``observe_many`` feeds the quantile
+markers at most :data:`P2_SAMPLE_CAP` stride-sampled values per call
+and sorts that sample once: every estimator's markers are read off the
+sorted copy by :func:`sorted_quantiles`, which returns what
+``np.quantile`` would, bit for bit, without selecting again.  When the
+sample is the whole batch, the bucket counts are one binary search per
+bound into it; a larger batch's take one comparison pass per bound.
 """
 
 from __future__ import annotations
@@ -33,6 +36,7 @@ __all__ = [
     "Histogram",
     "P2Quantile",
     "MetricsRegistry",
+    "sorted_quantiles",
 ]
 
 # Default histogram upper bounds (ms-scale latencies); +inf is implicit.
@@ -45,6 +49,42 @@ DEFAULT_QUANTILES = (0.5, 0.95, 0.99)
 # Per-``observe_many`` cap on values fed to the P² markers (stride
 # sampled); bucket counts always see every value.
 P2_SAMPLE_CAP = 8192
+
+
+def sorted_quantiles(ordered: np.ndarray, probs) -> np.ndarray:
+    """``np.quantile(ordered, probs)`` (the ``linear`` method), bit for
+    bit, read off a non-empty float64 array that is already sorted.
+
+    The arithmetic is NumPy's: the virtual index ``(n - 1) * p``, its
+    floor ``a`` and ``floor + 1`` neighbour ``b``, both clamped to the
+    last element where the index is at or above ``n - 1`` (the weight
+    ``g`` is then ``index + 1``, as NumPy computes it); then ``a + d*g``
+    with ``d = b - a``, or ``b - d*(1 - g)`` where ``g >= 0.5``.  A NaN
+    sorts last and makes every result NaN.  Percentile callers pass
+    ``np.true_divide(q, 100)``, as ``np.percentile`` does.
+
+    The one difference: ``np.quantile`` selects by partition, which may
+    leave tied ``-0.0`` and ``0.0`` in another order than a sort does,
+    so where both zeros occur the result's zero may differ in sign.
+    """
+    probs = np.asarray(probs, dtype=np.float64)
+    n = ordered.size
+    index = (n - 1) * probs
+    floor = np.floor(index)
+    last = index >= n - 1
+    floor[last] = -1.0
+    gamma = index - floor
+    lo = floor.astype(np.intp)
+    hi = lo + 1
+    hi[last] = -1
+    a = ordered[lo]
+    b = ordered[hi]
+    d = b - a
+    out = a + d * gamma
+    np.subtract(b, d * (1 - gamma), out=out, where=gamma >= 0.5)
+    if np.isnan(ordered[-1]):
+        out[:] = ordered[-1]
+    return out
 
 
 class P2Quantile:
@@ -121,8 +161,8 @@ class P2Quantile:
         path.  Batches smaller than five stream one at a time.
 
         ``sketch``, when given, is ``np.quantile(values, probs)`` at this
-        estimator's marker probabilities, computed by the caller in one
-        pass for several estimators (:meth:`Histogram.observe_many`).
+        estimator's marker probabilities, read by the caller off one
+        sorted copy for several estimators (:meth:`Histogram.observe_many`).
         """
         arr = np.asarray(values, dtype=np.float64).ravel()
         n = int(arr.size)
@@ -257,33 +297,45 @@ class Histogram:
         """Bulk observation: vectorized bucket/sum/min/max accounting, with
         the P² markers fed at most :data:`P2_SAMPLE_CAP` stride-sampled
         values (the estimator is already approximate; the stride keeps a
-        1M-value publish from looping a million times in Python)."""
+        1M-value publish from looping a million times in Python).
+
+        The sample is sorted once.  Every estimator's marker heights come
+        from one :func:`sorted_quantiles` read of the sorted copy, and
+        when the sample is the whole batch the bucket counts are one
+        ``searchsorted`` of the bounds into it; a larger batch's buckets
+        take one comparison pass per bound, cheaper than sorting the
+        whole batch.  ``sum``, ``min`` and ``max`` are taken on the batch
+        as given: a pairwise sum depends on the order of its elements."""
         arr = np.asarray(values, dtype=np.float64).ravel()
-        if arr.size == 0:
+        n = int(arr.size)
+        if n == 0:
             return
+        sample = arr
+        if n > P2_SAMPLE_CAP:
+            sample = arr[:: int(np.ceil(n / P2_SAMPLE_CAP))]
+        ordered = np.sort(sample)
         # Bucket i holds the values in (bound[i-1], bound[i]]; NaN fails
-        # every comparison and lands in +inf.  One comparison pass per
-        # bound is several times cheaper than a binary search per value.
+        # every comparison (and sorts last), so it lands in +inf.
+        if sample is arr:
+            at_or_below = np.searchsorted(ordered, self.buckets,
+                                          "right").tolist()
+        else:
+            at_or_below = [int(np.count_nonzero(arr <= bound))
+                           for bound in self.buckets]
         below = 0
-        for i, bound in enumerate(self.buckets):
-            at_or_below = int(np.count_nonzero(arr <= bound))
-            self.bucket_counts[i] += at_or_below - below
-            below = at_or_below
-        self.bucket_counts[-1] += int(arr.size) - below
-        self.count += int(arr.size)
+        for i, count in enumerate(at_or_below):
+            self.bucket_counts[i] += count - below
+            below = count
+        self.bucket_counts[-1] += n - below
+        self.count += n
         self.sum += float(arr.sum())
         self.min = min(self.min, float(arr.min()))
         self.max = max(self.max, float(arr.max()))
-        if arr.size > P2_SAMPLE_CAP:
-            arr = arr[:: int(np.ceil(arr.size / P2_SAMPLE_CAP))]
-        # One quantile pass serves every estimator's markers, over a
-        # sorted copy (same order statistics, so the same values, and
-        # quicker to select from than the raw sample).
         estimators = list(self._quantiles.values())
-        sketch = np.quantile(np.sort(arr), [p for est in estimators
+        sketch = sorted_quantiles(ordered, [p for est in estimators
                                             for p in est._increments])
         for k, est in enumerate(estimators):
-            est.observe_bulk(arr, sketch[5 * k:5 * k + 5])
+            est.observe_bulk(sample, sketch[5 * k:5 * k + 5])
 
     @property
     def mean(self) -> float:

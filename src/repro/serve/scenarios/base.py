@@ -125,8 +125,8 @@ class ProfileScenario(Scenario):
         """
         if num_requests < 1:
             raise ValueError("num_requests must be >= 1")
-        if rate_rps <= 0:
-            raise ValueError("rate_rps must be > 0")
+        if not 0 < rate_rps < np.inf:   # NaN fails both comparisons
+            raise ValueError("rate_rps must be finite and > 0")
         rng = np.random.default_rng(seed)
         multiplier = self.multiplier_grid(rng)
 

@@ -24,20 +24,33 @@ whichever engine filled them — which is what lets the engine-equivalence
 harness demand *byte-identical* summaries from the two replay engines
 rather than "close enough" ones.  The ``records`` / ``queue_samples`` /
 ``batch_sizes`` views are read-only and materialize on access.
+
+Each derived column is computed once per filled collector and shared
+by every reduction that reads it: latency (``finish - arrival``) and
+wait (``start - arrival``) feed both ``summary()`` and the engine's
+metric publication, and each reduced column is sorted once, so its
+percentiles are reads of the sorted copy
+(:func:`repro.obs.metrics.sorted_quantiles`, bit-identical to
+``np.percentile``).  The cache is dropped whenever a column is handed
+out for writing.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from ..analysis.tables import Table
+from ..obs.metrics import sorted_quantiles
 from ..obs.slo import SLO, SLOReport
 from .trace import REPLAY_ORDER, Request
 
 __all__ = ["COMPLETION_FIELDS", "RequestRecord", "TelemetryCollector"]
+
+# A column, or a function that builds it on first read (ingest_columns).
+_Lazy = Union[np.ndarray, Callable[[], np.ndarray]]
 
 # Every column, with the element type a reduction reads it as.  The
 # completion fields come first, one row per completed request in
@@ -49,6 +62,12 @@ _COLUMNS = {"request_id": np.int64, "arrival_ms": np.float64,
             "priority": np.int64, "model": None, "queue_ms": np.float64,
             "queue_depth": np.int64, "dispatch_size": np.int64}
 COMPLETION_FIELDS = tuple(_COLUMNS)[:8]
+# Derived per-request columns: name -> (end column, begin column).
+_INTERVALS = {"latency": ("finish_ms", "arrival_ms"),
+              "wait": ("start_ms", "arrival_ms"),
+              "service": ("finish_ms", "start_ms")}
+# The percentiles summary() reports, as np.percentile takes them.
+_PERCENTILES = (50.0, 95.0, 99.0)
 
 
 @dataclass(frozen=True)
@@ -92,8 +111,13 @@ class TelemetryCollector:
         self.executor_chip_ids: List[Tuple[int, ...]] = \
             list(executor_chip_ids)
         # A list while appended to, an array once read (see _array); the
-        # model column is None after a single-model ingest_columns.
+        # model column is None after a single-model ingest_columns, and a
+        # column ingest_columns was given as a function is built on first
+        # read.
         self._cols: Dict[str, object] = {name: [] for name in _COLUMNS}
+        # Read-only arrays derived from the columns (see _interval),
+        # dropped whenever a column is handed out for writing.
+        self._derived: Dict[str, np.ndarray] = {}
         self.rejected: List[int] = []
         self.failed: List[int] = []
         self.retried: List[int] = []
@@ -107,28 +131,59 @@ class TelemetryCollector:
         self.chip_busy_ms: Dict[int, float] = {c: 0.0 for c in range(num_chips)}
 
     # ---- columns ------------------------------------------------------
+    def _column(self, name: str):
+        """Column ``name`` as stored, built first if it was ingested as
+        a function."""
+        col = self._cols[name]
+        if callable(col):
+            col = self._cols[name] = col()
+        return col
+
     def _array(self, name: str) -> np.ndarray:
         """Column ``name`` as an array; a list column is converted once
         and kept in array form."""
-        col = self._cols[name]
+        col = self._column(name)
         if isinstance(col, list):
             col = self._cols[name] = np.asarray(col, dtype=_COLUMNS[name])
         return col
 
     def _list(self, name: str) -> list:
         """Column ``name`` as a new list of Python values."""
-        col = self._cols[name]
+        col = self._column(name)
         if col is None:         # single-model ingest: every tag is empty
             return [""] * self.num_completed
         return col.tolist() if isinstance(col, np.ndarray) else list(col)
 
     def _writable(self, name: str) -> list:
         """Column ``name`` as an appendable list (converted back from an
-        array if a reduction has read it)."""
+        array if a reduction has read it).  Drops every derived column,
+        as the caller is about to change this one."""
+        self._derived.clear()
         col = self._cols[name]
         if not isinstance(col, list):
             col = self._cols[name] = self._list(name)
         return col
+
+    def _interval(self, kind: str) -> np.ndarray:
+        """The ``latency``, ``wait`` or ``service`` column (end column
+        minus begin column), computed once and read-only."""
+        values = self._derived.get(kind)
+        if values is None:
+            end, begin = _INTERVALS[kind]
+            values = self._array(end) - self._array(begin)
+            values.flags.writeable = False
+            self._derived[kind] = values
+        return values
+
+    def _percentiles(self, kind: str, qs: Sequence[float]) -> np.ndarray:
+        """``np.percentile(self._interval(kind), qs)``, bit for bit, read
+        off one sorted copy of the column that is kept for the next
+        call."""
+        key = "sorted " + kind
+        ordered = self._derived.get(key)
+        if ordered is None:
+            ordered = self._derived[key] = np.sort(self._interval(kind))
+        return sorted_quantiles(ordered, np.true_divide(qs, 100))
 
     def appenders(self, *names: str) -> Tuple[Callable, ...]:
         """The bound ``append`` of each named column — the scalar
@@ -183,11 +238,12 @@ class TelemetryCollector:
                        arrival_ms: np.ndarray,
                        start_ms: np.ndarray,
                        finish_ms: np.ndarray,
-                       request_id: np.ndarray,
-                       priority: np.ndarray,
-                       batch_size: np.ndarray,
-                       executor_index: np.ndarray,
-                       model: Optional[Tuple[str, ...]] = None,
+                       request_id: _Lazy,
+                       priority: _Lazy,
+                       batch_size: _Lazy,
+                       executor_index: _Lazy,
+                       model: Union[None, Tuple[str, ...],
+                                    Callable[[], Tuple[str, ...]]] = None,
                        rejected_ids: Sequence[int] = (),
                        queue_times: Optional[np.ndarray] = None,
                        queue_depths: Optional[np.ndarray] = None,
@@ -199,8 +255,12 @@ class TelemetryCollector:
         per-event queue-depth series, per-batch sizes, and per-chip busy
         totals.  The arrays become the columns as they are, so a
         million-request replay only ever builds the objects a consumer
-        of the views actually reads.
+        of the views actually reads.  The completion columns no
+        reduction reads (``request_id``, ``priority``, ``batch_size``,
+        ``executor_index``, ``model``) may be given as functions that
+        build them; each is called on the column's first read.
         """
+        self._derived.clear()
         self._cols.update(
             arrival_ms=arrival_ms, start_ms=start_ms, finish_ms=finish_ms,
             request_id=request_id, priority=priority,
@@ -277,16 +337,19 @@ class TelemetryCollector:
     # same order after either engine — the bit-for-bit contract the
     # equivalence harness pins.
     def latency_values(self) -> np.ndarray:
-        """End-to-end latency per completed request (dispatch order)."""
-        return self._array("finish_ms") - self._array("arrival_ms")
+        """End-to-end latency per completed request (dispatch order).
+        The array is shared with ``summary()`` and read-only."""
+        return self._interval("latency")
 
     def wait_values(self) -> np.ndarray:
-        """Queueing delay per completed request (dispatch order)."""
-        return self._array("start_ms") - self._array("arrival_ms")
+        """Queueing delay per completed request (dispatch order).  The
+        array is shared with ``summary()`` and read-only."""
+        return self._interval("wait")
 
     def service_values(self) -> np.ndarray:
-        """Chip service time per completed request (dispatch order)."""
-        return self._array("finish_ms") - self._array("start_ms")
+        """Chip service time per completed request (dispatch order).
+        The array is shared with ``summary()`` and read-only."""
+        return self._interval("service")
 
     def queue_depth_values(self) -> np.ndarray:
         return self._array("queue_depth")
@@ -334,10 +397,13 @@ class TelemetryCollector:
                 - float(self._array("arrival_ms").min()))
 
     def latency_percentile(self, q: float) -> float:
-        """Latency percentile over completed requests (q in [0, 100])."""
+        """Latency percentile over completed requests (q in [0, 100]),
+        as ``np.percentile`` gives it."""
         if not self.num_completed:
             return float("nan")
-        return float(np.percentile(self.latency_values(), q))
+        if not 0.0 <= q <= 100.0:
+            raise ValueError("Percentiles must be in the range [0, 100]")
+        return float(self._percentiles("latency", [q])[0])
 
     def latency_percentiles(self) -> Dict[str, float]:
         return {"p50": self.latency_percentile(50.0),
@@ -347,21 +413,19 @@ class TelemetryCollector:
     def _latency_stats(self) -> Tuple[Dict[str, float], ...]:
         """p50/p95/p99/mean of end-to-end latency, wait (arrival ->
         dispatch) and service (dispatch -> completion): each column
-        computed once, its three percentiles read from one
-        ``np.percentile`` call — bit-identical to one call per quantile
-        (tests/serve/test_telemetry.py pins that)."""
+        computed and sorted once, its three percentiles read off the
+        sorted copy — bit-identical to one ``np.percentile`` call per
+        quantile (tests/serve/test_telemetry.py pins that).  The means
+        are taken in dispatch order, as the pairwise sum depends on it."""
         if not self.num_completed:
             nan = {"p50": float("nan"), "p95": float("nan"),
                    "p99": float("nan"), "mean": float("nan")}
             return nan, dict(nan), dict(nan)
-        arrival = self._array("arrival_ms")
-        start = self._array("start_ms")
-        finish = self._array("finish_ms")
         stats = []
-        for values in (finish - arrival, start - arrival, finish - start):
-            p50, p95, p99 = np.percentile(values, [50.0, 95.0, 99.0])
-            stats.append({"p50": float(p50), "p95": float(p95),
-                          "p99": float(p99), "mean": float(np.mean(values))})
+        for kind in ("latency", "wait", "service"):
+            p50, p95, p99 = self._percentiles(kind, _PERCENTILES).tolist()
+            stats.append({"p50": p50, "p95": p95, "p99": p99,
+                          "mean": float(np.mean(self._interval(kind)))})
         return tuple(stats)
 
     def mean_latency_ms(self) -> float:

@@ -199,8 +199,8 @@ def synthetic_trace_arrays(num_requests: int, rate_rps: float, seed: int = 0,
     per-request objects (same RNG stream, same floats)."""
     if num_requests < 1:
         raise ValueError("num_requests must be >= 1")
-    if rate_rps <= 0:
-        raise ValueError("rate_rps must be > 0")
+    if not 0 < rate_rps < np.inf:       # NaN fails both comparisons
+        raise ValueError("rate_rps must be finite and > 0")
     if priority_levels < 1:
         raise ValueError("priority_levels must be >= 1")
     rng = np.random.default_rng(seed)

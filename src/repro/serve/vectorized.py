@@ -25,7 +25,11 @@ process in two phases sized for web-scale traces:
   ``finish = repeat(dispatch + fill, size) + j * interval``) and
   per-chip busy totals, handed to
   :meth:`~repro.serve.telemetry.TelemetryCollector.ingest_columns` in
-  one call.
+  one call.  Only what a reduction reads is built here: arrival, start
+  and finish, the queue series, the batch sizes and chip busy time.
+  The request id, priority, model and per-request batch size and
+  executor columns are handed over as functions, built on their first
+  read (``records``, ``completion_lists()``, span synthesis).
 
 Byte-identical by construction: every float the scalar loop produces is
 recomputed here by the *same* arithmetic expression in the same order —
@@ -351,7 +355,9 @@ def replay_vectorized(engine, requests: Union[Sequence[Request],
     guarantees the vectorizable subset: FIFO policy, no fault plan, no
     resilience runtime.  Returns a :class:`TelemetryCollector` holding
     the replay's columns, whose ``summary()`` is byte-identical to the
-    scalar engine's.
+    scalar engine's.  Its request id, priority and model columns are
+    gathered from the trace's columns when first read, so a caller that
+    edits those in place should read the replay's records first.
     """
     if isinstance(requests, TraceArrays):
         # A column edited after construction must not reach Phase A: a
@@ -411,15 +417,18 @@ def replay_vectorized(engine, requests: Union[Sequence[Request],
 
     model = None
     if trace.model is not None:
-        model = tuple(trace.model[k] for k in acc)
+        def model():
+            return tuple(trace.model[k] for k in acc)
+    # No reduction reads the per-request ids, priorities, models, batch
+    # sizes or executors: they are built when a view first reads them.
     telemetry.ingest_columns(
         arrival_ms=trace.arrival_ms[acc_idx],
         start_ms=starts,
         finish_ms=finishes,
-        request_id=trace.request_id[acc_idx],
-        priority=trace.priority[acc_idx],
-        batch_size=np.repeat(bs_np, bs_np),
-        executor_index=np.repeat(bx_np, bs_np),
+        request_id=lambda: trace.request_id[acc_idx],
+        priority=lambda: trace.priority[acc_idx],
+        batch_size=lambda: np.repeat(bs_np, bs_np),
+        executor_index=lambda: np.repeat(bx_np, bs_np),
         model=model,
         rejected_ids=trace.request_id[
             np.frombuffer(rej, dtype=np.int64)].tolist(),

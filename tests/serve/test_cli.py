@@ -64,6 +64,17 @@ class TestServeCommand:
         assert err.startswith("error: window_ms must be finite")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("rate", ["inf", "nan"])
+    def test_non_finite_rate_exits_2(self, capsys, rate):
+        # Accepted, an infinite rate served a trace whose every arrival
+        # was 0.0, and a NaN one failed on the arrivals it produced.
+        with deadline(10.0):
+            assert main(["serve", "--num-requests", "21",
+                         "--rate-fps", rate]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: rate_rps must be finite and > 0")
+        assert "Traceback" not in err
+
     def test_timeout_during_a_run_propagates(self, monkeypatch):
         # TimeoutError is an OSError, yet a run that times out is not a
         # user error: it must not become "error: ..." with exit 2.

@@ -151,6 +151,12 @@ class TestValidation:
         with pytest.raises(ValueError, match="rate_rps"):
             scenario.to_trace(10, 0.0)
 
+    @pytest.mark.parametrize("rate", [np.inf, np.nan, -np.inf])
+    def test_non_finite_rate_rejected(self, rate):
+        # An infinite rate once gave a trace whose every arrival was 0.
+        with pytest.raises(ValueError, match="rate_rps must be finite"):
+            get_scenario("diurnal").to_trace_arrays(5, rate)
+
     def test_scenario_needs_name(self):
         with pytest.raises(ValueError, match="non-empty"):
             Scenario("", "anonymous")

@@ -41,9 +41,17 @@ class TestPercentiles:
         telemetry = TelemetryCollector()
         assert np.isnan(telemetry.latency_percentile(50.0))
 
+    @pytest.mark.parametrize("q", [-1.0, 100.5, float("nan")])
+    def test_out_of_range_percentile_rejected(self, q):
+        # np.percentile's range rule; sorted_quantiles does not check it.
+        telemetry = TelemetryCollector(num_chips=1)
+        telemetry.record_completion(record(0, 0.0, 0.0, 10.0))
+        with pytest.raises(ValueError, match="range"):
+            telemetry.latency_percentile(q)
+
     def test_one_call_per_column_is_bit_identical(self):
-        # summary() reads each column's p50/p95/p99 from a single
-        # np.percentile call; that must equal one call per quantile to
+        # summary() reads each column's p50/p95/p99 off one sorted
+        # copy; that must equal one np.percentile call per quantile to
         # the last bit, on 1- and 2-element columns and on ties too.
         rng = np.random.default_rng(2026)
         sizes = [1, 2, 1, 2] + rng.integers(1, 500, size=216).tolist()
@@ -319,6 +327,61 @@ class TestColumns:
             append(value)
         assert [r.request_id for r in telemetry.records] == [4, 6, 2, 5]
         assert telemetry.retract(0, 10.0) == []
+
+    def test_shared_columns_are_read_only(self):
+        telemetry = TelemetryCollector(num_chips=1)
+        telemetry.record_completion(record(0, 0.0, 1.0, 10.0))
+        for accessor in (telemetry.latency_values, telemetry.wait_values,
+                         telemetry.service_values):
+            values = accessor()
+            assert accessor() is values     # computed once, then shared
+            with pytest.raises(ValueError, match="read-only"):
+                values[0] = 0.0
+
+    def test_retract_drops_derived_columns(self):
+        telemetry = TelemetryCollector(num_chips=2,
+                                       executor_chip_ids=[(0,), (1,)])
+        telemetry.record_completion(record(0, 0.0, 0.0, 5.0, chip=0))
+        telemetry.record_completion(record(1, 0.0, 0.0, 20.0, chip=1))
+        assert telemetry.latency_values().tolist() == [5.0, 20.0]
+        assert telemetry.latency_percentile(100.0) == 20.0
+        assert [r.request_id for r in telemetry.retract(1, 10.0)] == [1]
+        assert telemetry.latency_values().tolist() == [5.0]
+        assert telemetry.latency_percentile(100.0) == 5.0
+        assert telemetry.summary()["latency_p99_ms"] == 5.0
+
+    def test_unread_columns_are_built_on_first_read(self):
+        built = []
+
+        def lazy(name, values):
+            def build():
+                built.append(name)
+                return np.asarray(values, dtype=np.int64)
+            return build
+
+        telemetry = TelemetryCollector(num_chips=1,
+                                       executor_chip_ids=[(0,)])
+        telemetry.ingest_columns(
+            arrival_ms=np.array([0.0, 1.0]), start_ms=np.array([1.0, 1.0]),
+            finish_ms=np.array([2.0, 3.0]),
+            request_id=lazy("request_id", [7, 8]),
+            priority=lazy("priority", [0, 1]),
+            batch_size=lazy("batch_size", [2, 2]),
+            executor_index=lazy("executor_index", [0, 0]),
+            model=lambda: ("a", "b"),
+            queue_times=np.array([0.0, 1.0]),
+            queue_depths=np.array([1, 0], dtype=np.int64),
+            batch_sizes=np.array([2], dtype=np.int64))
+        telemetry.summary()
+        telemetry.report()
+        assert built == []
+        assert telemetry.records == [
+            RequestRecord(7, 0.0, 1.0, 2.0, (0,), 2, 0, "a"),
+            RequestRecord(8, 1.0, 1.0, 3.0, (0,), 2, 1, "b")]
+        assert sorted(built) == ["batch_size", "executor_index",
+                                 "priority", "request_id"]
+        telemetry.completion_lists()
+        assert len(built) == 4          # each built once
 
     def test_single_model_ingest_has_empty_tags(self):
         telemetry = TelemetryCollector(num_chips=1,

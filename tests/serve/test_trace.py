@@ -179,6 +179,12 @@ class TestTraceArrays:
                         request_id=np.arange(2, dtype=np.int64),
                         priority=np.zeros(3, dtype=np.int64))
 
+    @pytest.mark.parametrize("rate", [np.inf, np.nan, -np.inf])
+    def test_non_finite_rate_rejected(self, rate):
+        # An infinite rate once gave a trace whose every arrival was 0.
+        with pytest.raises(ValueError, match="rate_rps must be finite"):
+            synthetic_trace_arrays(5, rate)
+
 
 BAD_ARRIVALS = pytest.mark.parametrize(
     "bad", [float("nan"), float("inf"), -1.0], ids=["nan", "inf", "neg"])

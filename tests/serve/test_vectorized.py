@@ -167,3 +167,22 @@ def test_float32_arrival_column_matches_scalar_engine(report):
     assert scalar.queue_samples == vector.queue_samples
     assert json.dumps(scalar.summary(), sort_keys=True) == \
         json.dumps(vector.summary(), sort_keys=True)
+
+
+def test_phase_b_builds_only_what_a_reduction_reads(report):
+    """Publication and ``summary()`` read arrival, start, finish, the
+    queue series and the batch sizes; the per-request ids, priorities,
+    models, batch sizes and executors wait for a view to read them, and
+    then equal the scalar engine's."""
+    engine = ServingEngine(report, ServingConfig(num_chips=2))
+    trace = get_scenario("multi-model-mix").to_trace_arrays(
+        600, rate_rps=0.9 * engine.plan.throughput_fps, seed=5)
+    vector = engine.serve(trace, metrics=MetricsRegistry(),
+                          engine="vectorized")
+    vector.summary()
+    lazy = ("request_id", "priority", "batch_size", "executor_index",
+            "model")
+    assert all(callable(vector._cols[name]) for name in lazy)
+    scalar = engine.serve(trace, metrics=MetricsRegistry(), engine="scalar")
+    assert vector.records == scalar.records
+    assert not any(callable(vector._cols[name]) for name in lazy)
