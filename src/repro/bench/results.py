@@ -21,6 +21,10 @@ Schema (version 1)::
       "calibration_ms": 0.42,   # fixed reference workload; lets compare()
                                 # divide out machine-speed drift
       "peak_rss_kb": 123456,
+      "thread_env": {"OMP_NUM_THREADS": "1",      # optional: the BLAS and
+                     "OPENBLAS_NUM_THREADS": "1", # OpenMP thread pins the
+                     "MKL_NUM_THREADS": null},    # run saw (null = unset)
+      "cpu_count": 2,                             # optional: os.cpu_count()
       "results": [
         {
           "name": "serve.offered_load_sweep",
@@ -50,6 +54,7 @@ from typing import Dict, List, Optional, Union
 __all__ = [
     "SCHEMA_VERSION",
     "BENCH_FILE_PREFIX",
+    "THREAD_ENV_VARS",
     "BenchResult",
     "BenchRun",
     "validate_run_dict",
@@ -60,6 +65,11 @@ __all__ = [
 
 SCHEMA_VERSION = 1
 BENCH_FILE_PREFIX = "BENCH_"
+# Environment variables that set how many threads NumPy's BLAS and
+# OpenMP use; a multithreaded BLAS makes small-kernel timings depend on
+# the host's core count.
+THREAD_ENV_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
+                   "MKL_NUM_THREADS")
 
 
 @dataclass
@@ -138,6 +148,10 @@ class BenchRun:
     calibration_ms: Optional[float] = None
     peak_rss_kb: Optional[int] = None
     schema_version: int = SCHEMA_VERSION
+    # Optional provenance (absent from older run files): the value of
+    # each THREAD_ENV_VARS entry (None when unset), and os.cpu_count().
+    thread_env: Optional[Dict[str, Optional[str]]] = None
+    cpu_count: Optional[int] = None
 
     def result_by_name(self, name: str) -> BenchResult:
         for result in self.results:
@@ -161,6 +175,8 @@ class BenchRun:
             "rounds": self.rounds,
             "calibration_ms": self.calibration_ms,
             "peak_rss_kb": self.peak_rss_kb,
+            "thread_env": self.thread_env,
+            "cpu_count": self.cpu_count,
             "results": [result.to_dict() for result in self.results],
         }
 
@@ -180,6 +196,8 @@ class BenchRun:
             calibration_ms=data.get("calibration_ms"),
             peak_rss_kb=data.get("peak_rss_kb"),
             schema_version=int(data["schema_version"]),
+            thread_env=data.get("thread_env"),
+            cpu_count=data.get("cpu_count"),
         )
 
 
@@ -212,6 +230,19 @@ def validate_run_dict(data: Dict) -> None:
                                         and calibration > 0):
         raise ValueError(f"calibration_ms must be null or a finite number "
                          f"> 0, got {calibration!r}")
+    thread_env = data.get("thread_env")
+    if thread_env is not None and not (
+            isinstance(thread_env, dict)
+            and all(isinstance(value, (str, type(None)))
+                    for value in thread_env.values())):
+        raise ValueError(f"thread_env must be null or a dict of strings "
+                         f"or nulls, got {thread_env!r}")
+    cpu_count = data.get("cpu_count")
+    if cpu_count is not None and (isinstance(cpu_count, bool)
+                                  or not isinstance(cpu_count, int)
+                                  or cpu_count < 1):
+        raise ValueError(f"cpu_count must be null or an integer >= 1, "
+                         f"got {cpu_count!r}")
     if not isinstance(data["results"], list):
         raise ValueError("'results' must be a list")
     seen = set()

@@ -34,11 +34,17 @@ before applying the tolerance band.
 Peak RSS comes from ``resource.getrusage`` — a process-wide high-water
 mark, so per-benchmark values are monotone within a run; the run-level
 value is the honest one for memory regressions.
+
+The run also records the BLAS/OpenMP thread variables it saw
+(``thread_env``, null where unset) and ``os.cpu_count()``: a
+multithreaded BLAS times small kernels very differently from one thread,
+so a comparison is only meaningful between runs with the same pins.
 """
 
 from __future__ import annotations
 
 import math
+import os
 import platform as platform_mod
 import subprocess
 import sys
@@ -55,7 +61,7 @@ from .registry import (
     Workload,
     load_suites,
 )
-from .results import BenchResult, BenchRun
+from .results import THREAD_ENV_VARS, BenchResult, BenchRun
 
 __all__ = [
     "BenchmarkFailure",
@@ -266,4 +272,6 @@ def run_suites(suites: Optional[List[str]] = None,
         rounds=config.rounds,
         calibration_ms=min(calibration_samples),
         peak_rss_kb=peak_rss_kb(),
+        thread_env={name: os.environ.get(name) for name in THREAD_ENV_VARS},
+        cpu_count=os.cpu_count(),
     )

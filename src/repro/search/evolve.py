@@ -94,10 +94,25 @@ class EvoSearchConfig:
     workers: int = 1              # processes for the restart fan-out
 
     def __post_init__(self):
-        for name in ("population_size", "iterations", "num_parents",
-                     "mutation_layers", "restarts", "workers"):
+        counts = ("population_size", "iterations", "num_parents",
+                  "mutation_layers", "restarts", "workers")
+        for name in (*counts, "seed", "patience"):
+            value = getattr(self, name)
+            if name == "patience" and value is None:
+                continue
+            # A float or bool would only fail (or run a population of
+            # True == 1) deep inside the search; NumPy integers are
+            # stored as the Python ints they equal.
+            if (isinstance(value, bool)
+                    or not isinstance(value, (int, np.integer))):
+                raise ValueError(f"{name} must be an integer, "
+                                 f"got {value!r}")
+            object.__setattr__(self, name, int(value))
+        for name in counts:
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.objective not in (*OBJECTIVES, "pareto"):
             raise ValueError(f"objective must be one of "
                              f"{(*OBJECTIVES, 'pareto')}, "
@@ -195,7 +210,7 @@ def breed(parents: np.ndarray, config: EvoSearchConfig,
     n_child = config.population_size - len(survivors)
     if n_child == 0:
         return survivors.copy()
-    children = parents[rng.integers(n_par, size=n_child)].copy()
+    children = parents[rng.integers(n_par, size=n_child)]
     if config.crossover_rate > 0.0 and n_par > 1:
         crossed = rng.random(n_child) < config.crossover_rate
         second = parents[rng.integers(n_par, size=n_child)]

@@ -6,21 +6,26 @@ set ``C`` (``None`` keeps the conv layer as-is).  A layer's hardware cost
 so the whole space is captured by three ``(layers, candidates)`` lookup
 matrices.  A genome is then an integer index per layer, a population is an
 ``(P, L)`` integer array, and scoring a generation is one flat gather per
-matrix into an ``(L, P)`` array plus a sum over its layer axis — no
-per-individual Python loop.
+matrix into an ``(L, P)`` array plus one reduction over its layer axis —
+no per-individual or per-layer Python loop.
 
-:func:`evaluate_population` accumulates the layer axis sequentially, in
-layer order (row-by-row in-place adds, never a pairwise reduction), so
-its sums are *bit-for-bit identical* to the scalar
-:func:`evaluate_assignment` loop (same IEEE-754 operation sequence);
-reward orderings of the vectorized and scalar paths therefore agree
-exactly, which ``tests/search/test_grid.py`` pins down.
+:func:`evaluate_population` reduces the layer axis with
+``np.add.reduce(..., axis=0)``.  NumPy sums pairwise only along the
+contiguous innermost axis of a reduction; axis 0 of a C-ordered
+``(L, P, 2)`` array is the outermost, so its rows are added one after
+another in layer order.  The sums are therefore *bit-for-bit identical*
+to the scalar :func:`evaluate_assignment` loop (same IEEE-754 operation
+sequence), and reward orderings of the two paths agree exactly.
+``tests/search/test_grid.py`` pins both the rule
+(``TestLayerAxisReduce``, against a sequential row loop) and the
+agreement with the scalar path.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -100,6 +105,21 @@ class GridMatrices:
 
     def option_index(self, layer: int, candidate: Candidate) -> int:
         return self.options[layer].index(candidate)
+
+    @cached_property
+    def float_cells(self) -> np.ndarray:
+        """``(L*K, 2)`` table of each flat ``(layer, option)`` cell's
+        ``(latency_ns, dynamic_pj)``, so one gather serves both float
+        sums.  Built on first use and kept, like the grid's matrices."""
+        L, K = self.latency_ns.shape
+        return np.stack((self.latency_ns, self.dynamic_pj),
+                        axis=-1).reshape(L * K, 2)
+
+    @cached_property
+    def layer_offsets(self) -> np.ndarray:
+        """``(L, 1)`` flat index of each layer's option 0, ``l * K``."""
+        L, K = self.crossbars.shape
+        return np.arange(L)[:, None] * K
 
 
 @dataclass(frozen=True)
@@ -483,14 +503,16 @@ def evaluate_population(matrices: GridMatrices, genomes: np.ndarray,
                         lut: ComponentLUT = DEFAULT_LUT) -> PopulationEval:
     """Score a ``(P, L)`` index-array population in one pass.
 
-    One flat gather per lookup matrix yields an ``(L, P)`` array of
-    per-layer cells (row ``l`` holds layer ``l``'s cell for every
-    individual); the float cells are then added row by row, layer 0
-    first, onto zeroed totals.  That is the scalar
-    :func:`evaluate_assignment` loop's exact IEEE-754 operation
-    sequence, vectorized across the population, so every individual's
-    totals match it bit-for-bit.  (``np.add.reduce``/``.sum`` may add
-    pairwise and would not.)
+    Per block of individuals, one flat gather per lookup matrix yields
+    an ``(L, block)`` array of per-layer cells (row ``l`` holds layer
+    ``l``'s cell for every individual), and one ``np.add.reduce`` over
+    axis 0 sums them onto zeroed totals.  That reduction adds the rows
+    in layer order, layer 0 first — NumPy sums pairwise only along the
+    contiguous innermost axis, and axis 0 of the C-ordered gather is the
+    outermost (``TestLayerAxisReduce`` in ``tests/search/test_grid.py``
+    pins this).  It is the scalar :func:`evaluate_assignment` loop's
+    exact IEEE-754 operation sequence, vectorized across the population,
+    so every individual's totals match it bit-for-bit.
     """
     genomes = np.asarray(genomes)
     if genomes.ndim != 2:
@@ -498,22 +520,18 @@ def evaluate_population(matrices: GridMatrices, genomes: np.ndarray,
     P, L = genomes.shape
     if L != matrices.num_layers:
         raise ValueError(f"genome length {L} != {matrices.num_layers} layers")
-    K = matrices.crossbars.shape[1]
-    # (latency_ns, dynamic_pj) of each flat (layer, option) cell, so one
-    # gather and one add per layer serve both float sums.
-    float_cells = np.stack((matrices.latency_ns, matrices.dynamic_pj),
-                           axis=-1).reshape(L * K, 2)
-    offsets = np.arange(L)[:, None] * K
-    xbars = np.zeros(P, dtype=np.int64)
-    sums = np.zeros((P, 2), dtype=np.float64)
+    float_cells = matrices.float_cells
+    offsets = matrices.layer_offsets
+    # Every row is written by its block's sum and reduction below.
+    xbars = np.empty(P, dtype=np.int64)
+    sums = np.empty((P, 2), dtype=np.float64)
     for start in range(0, P, _EVAL_BLOCK):
         stop = start + _EVAL_BLOCK
         # Flat index of (layer l, option genomes[p, l]), laid out (L, block).
         flat = np.add(genomes[start:stop].T, offsets, order="C")
         xbars[start:stop] = np.take(matrices.crossbars, flat).sum(axis=0)
-        block_sums = sums[start:stop]
-        for layer_cells in np.take(float_cells, flat, axis=0):
-            block_sums += layer_cells
+        np.add.reduce(np.take(float_cells, flat, axis=0), axis=0,
+                      initial=0.0, out=sums[start:stop])
     latency_ns, dynamic_pj = sums[:, 0], sums[:, 1]
     latency_ms = latency_ns / 1e6
     static_mj = (lut.p_leak_per_xbar_uw * xbars * latency_ms * 1e-6
@@ -565,5 +583,10 @@ def encode_genome(matrices: GridMatrices,
 
 def decode_genome(matrices: GridMatrices,
                   indices: np.ndarray) -> List[Candidate]:
-    """Per-layer option indices -> candidate tuples."""
-    return [matrices.options[li][int(ki)] for li, ki in enumerate(indices)]
+    """Per-layer option indices -> candidate tuples (inverse of encode)."""
+    indices = np.asarray(indices, dtype=np.int64)
+    if len(indices) != matrices.num_layers:
+        raise ValueError(f"genome length {len(indices)} != "
+                         f"{matrices.num_layers} layers")
+    return [options[ki] for options, ki in zip(matrices.options,
+                                               indices.tolist())]

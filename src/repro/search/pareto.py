@@ -19,7 +19,8 @@ vector ``(latency_ms, energy_mj, crossbars)`` (all minimized):
 Everything is vectorized: population scoring via
 :func:`~repro.search.grid.evaluate_population`, dominance via O(n^2)
 boolean comparisons over the (population + archive) set, one ``(n, n)``
-matrix per objective folded with ``&``/``|``.  The merged set is
+comparison per objective folded with ``&`` and read against its own
+transpose.  The merged set is
 deduplicated by a first-occurrence pass keyed on each genome's bytes,
 and the archive counts as changed when the kept positions are anything
 but the old archive's own.
@@ -47,7 +48,6 @@ from .grid import (
     CandidateGrid,
     EvalResult,
     decode_genome,
-    evaluate_assignment,
     evaluate_population,
 )
 
@@ -165,20 +165,19 @@ def non_dominated_mask(objectives: np.ndarray) -> np.ndarray:
     matrix (all objectives minimized).
 
     Row ``i`` dominates row ``j`` when it is <= everywhere and < somewhere.
+    Given ``i <= j`` everywhere, "< somewhere" means "``j <= i`` not
+    everywhere", so the relation ``leq[i, j]`` ("``i <= j`` in every
+    objective") and its transpose decide dominance with one comparison
+    per objective.  (Where ``leq[i, j]`` holds, neither row has a NaN.)
     """
     objectives = np.asarray(objectives, dtype=np.float64)
     if objectives.ndim != 2:
         raise ValueError("objectives must be (N, M)")
     n = len(objectives)
-    # One (N, N) comparison per objective, folded with & / |, instead of
-    # an (N, N, M) broadcast reduced over its short last axis.
     leq = np.ones((n, n), dtype=bool)
-    lt = np.zeros((n, n), dtype=bool)
-    for column in objectives.T:
-        mine, theirs = column[:, None], column[None, :]
-        leq &= mine <= theirs
-        lt |= mine < theirs
-    return ~(leq & lt).any(axis=0)
+    for column in np.ascontiguousarray(objectives.T):
+        leq &= column[:, None] <= column
+    return ~(leq & ~leq.T).any(axis=0)
 
 
 def crowding_distance(objectives: np.ndarray) -> np.ndarray:
@@ -208,16 +207,17 @@ def _thin(objectives: np.ndarray, capacity: int) -> np.ndarray:
 
 
 def _dedupe(rows: np.ndarray) -> np.ndarray:
-    """Positions of each distinct row's first occurrence, in row order
-    (rows compare by their bytes)."""
-    seen = set()
-    first = []
-    for i, row in enumerate(rows):
-        key = row.tobytes()
-        if key not in seen:
-            seen.add(key)
-            first.append(i)
-    return np.array(first, dtype=np.intp)
+    """Positions of each distinct ``(N, W)`` row's first occurrence, in
+    row order.  Rows compare by their bytes, taken for all rows at once
+    through a view of each row as one ``void`` item."""
+    width = rows.shape[1] * rows.itemsize
+    if not width:           # every row is the same empty byte string
+        return np.arange(min(len(rows), 1), dtype=np.intp)
+    keys = np.ascontiguousarray(rows).view(f"V{width}").ravel().tolist()
+    first = {}
+    for i, key in enumerate(keys):
+        first.setdefault(key, i)
+    return np.fromiter(first.values(), dtype=np.intp, count=len(first))
 
 
 def _front(objectives: np.ndarray) -> np.ndarray:
@@ -264,12 +264,13 @@ def pareto_search(grid: CandidateGrid,
     # vector so the reported front has no duplicate rows.
     unique = _dedupe(objectives)
     genomes, objectives = genomes[unique], objectives[unique]
-    order = np.argsort(objectives[:, 0], kind="stable")
-    points = []
-    for i in order:
-        genome = tuple(decode_genome(matrices, genomes[i]))
-        points.append(ParetoPoint(genome=genome,
-                                  eval=evaluate_assignment(grid, genome, lut)))
+    genomes = genomes[np.argsort(objectives[:, 0], kind="stable")]
+    # One scoring pass over the front; each point's numbers equal
+    # evaluate_assignment's bit for bit (tests/search/test_grid.py).
+    evals = evaluate_population(matrices, genomes, lut)
+    points = [ParetoPoint(genome=tuple(decode_genome(matrices, row)),
+                          eval=evals.result(i))
+              for i, row in enumerate(genomes)]
     publish(get_metrics(), "search.pareto", {"front_size": len(points)})
     return ParetoResult(points=points, layer_names=matrices.layer_names,
                         history=history, feasible=feasible)

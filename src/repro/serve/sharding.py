@@ -25,6 +25,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from ..pim.accelerator import build_floorplan, chips_required
 from ..pim.config import DEFAULT_CONFIG, HardwareConfig
 from ..pim.lut import DEFAULT_LUT, ComponentLUT
@@ -141,6 +143,12 @@ def partition_layers(report: NetworkReport, num_parts: int,
     ``max_tiles`` forbidden when a feasible split exists.  Returns lists of
     layer indices; parts are never empty (``num_parts`` must not exceed
     the layer count).
+
+    The DP runs in matrix form (:func:`_partition_tables`): one
+    ``(n+1, n+1)`` matrix of stage costs, then per part count one
+    elementwise maximum and one ``argmin`` over where the last stage
+    starts.  Among equal splits the earliest cut wins, as ``argmin``
+    returns the first minimum.
     """
     n = len(report.layers)
     if num_parts < 1:
@@ -148,48 +156,62 @@ def partition_layers(report: NetworkReport, num_parts: int,
     if num_parts > n:
         raise ValueError(f"cannot split {n} layers into {num_parts} shards")
 
-    lat = [layer.latency_ns / 1e6 for layer in report.layers]
+    lat = np.array([layer.latency_ns for layer in report.layers]) / 1e6
     tiles = [_layer_tiles(layer, config) for layer in report.layers]
-    prefix_lat = [0.0]
-    prefix_tiles = [0]
-    for i in range(n):
-        prefix_lat.append(prefix_lat[-1] + lat[i])
-        prefix_tiles.append(prefix_tiles[-1] + tiles[i])
-
-    def seg_cost(i: int, j: int) -> float:
-        """Stage cost of layers [i, j); inf when it busts the tile budget."""
-        cost = prefix_lat[j] - prefix_lat[i]
-        if max_tiles is not None and prefix_tiles[j] - prefix_tiles[i] > max_tiles:
-            return float("inf")
-        return cost
-
-    INF = float("inf")
-    # best[k][j]: minimal max-shard-cost splitting the first j layers into k
-    best = [[INF] * (n + 1) for _ in range(num_parts + 1)]
-    cut = [[0] * (n + 1) for _ in range(num_parts + 1)]
-    best[0][0] = 0.0
-    for k in range(1, num_parts + 1):
-        for j in range(k, n + 1):
-            for i in range(k - 1, j):
-                if best[k - 1][i] == INF:
-                    continue
-                cand = max(best[k - 1][i], seg_cost(i, j))
-                if cand < best[k][j]:
-                    best[k][j] = cand
-                    cut[k][j] = i
-    if best[num_parts][n] == INF and max_tiles is not None:
+    # Sequential prefix sums from 0.0, the order a running total adds in.
+    prefix_lat = np.add.accumulate(np.concatenate(([0.0], lat)))
+    prefix_tiles = np.concatenate(([0], np.cumsum(tiles, dtype=np.int64)))
+    best, cut = _partition_tables(prefix_lat, prefix_tiles, num_parts,
+                                  max_tiles)
+    if best[num_parts, n] == np.inf and max_tiles is not None:
         # No fitting split exists (some single layer busts the budget);
         # fall back to the unconstrained balanced partition.
-        return partition_layers(report, num_parts, config, max_tiles=None)
+        best, cut = _partition_tables(prefix_lat, prefix_tiles, num_parts,
+                                      None)
 
     bounds: List[int] = [n]
     j = n
     for k in range(num_parts, 0, -1):
-        j = cut[k][j]
+        j = int(cut[k, j])
         bounds.append(j)
     bounds.reverse()
     return [list(range(bounds[k], bounds[k + 1]))
             for k in range(num_parts)]
+
+
+def _partition_tables(prefix_lat: np.ndarray, prefix_tiles: np.ndarray,
+                      num_parts: int, max_tiles: Optional[int]
+                      ) -> Tuple[np.ndarray, np.ndarray]:
+    """The linear-partition DP over ``n`` layers given their prefix sums.
+
+    ``best[k, j]`` is the least maximum stage cost of splitting the first
+    ``j`` layers into ``k`` non-empty contiguous stages (inf when no split
+    keeps every stage within ``max_tiles``), and ``cut[k, j]`` is where
+    that split's last stage starts (0 when there is none).  Row ``k``
+    takes the last stage ``[i, j)`` with ``k-1 <= i < j`` that minimizes
+    ``max(best[k-1, i], cost[i, j])``, the smallest such ``i`` on a tie.
+    """
+    n = len(prefix_lat) - 1
+    # cost[i, j]: stage cost of layers [i, j); inf for an empty or
+    # reversed range (i >= j) and for one over the tile budget.
+    cost = prefix_lat[None, :] - prefix_lat[:, None]
+    barred = np.tri(n + 1, dtype=bool)
+    if max_tiles is not None:
+        barred |= prefix_tiles[None, :] - prefix_tiles[:, None] > max_tiles
+    cost[barred] = np.inf
+    best = np.full((num_parts + 1, n + 1), np.inf)
+    cut = np.zeros((num_parts + 1, n + 1), dtype=np.int64)
+    best[0, 0] = 0.0
+    for k in range(1, num_parts + 1):
+        # Rows: start i in [k-1, n); columns: end j in [k, n].
+        stage = np.maximum(best[k - 1, k - 1:n, None], cost[k - 1:n, k:])
+        start = stage.argmin(axis=0)
+        low = stage[start, np.arange(n - k + 1)]
+        # Where every start is barred, the row keeps inf and cut 0.
+        found = low < np.inf
+        best[k, k:][found] = low[found]
+        cut[k, k:][found] = start[found] + (k - 1)
+    return best, cut
 
 
 def _min_fitting_parts(report: NetworkReport, config: HardwareConfig,

@@ -115,9 +115,10 @@ class TelemetryCollector:
         # column ingest_columns was given as a function is built on first
         # read.
         self._cols: Dict[str, object] = {name: [] for name in _COLUMNS}
-        # Read-only arrays derived from the columns (see _interval),
-        # dropped whenever a column is handed out for writing.
-        self._derived: Dict[str, np.ndarray] = {}
+        # Values derived from the columns (read-only arrays, see
+        # _interval, and the makespan), dropped whenever a column is
+        # handed out for writing.
+        self._derived: Dict[str, Union[np.ndarray, float]] = {}
         self.rejected: List[int] = []
         self.failed: List[int] = []
         self.retried: List[int] = []
@@ -390,11 +391,16 @@ class TelemetryCollector:
 
     @property
     def makespan_ms(self) -> float:
-        """First arrival to last completion."""
-        if not self.num_completed:
-            return 0.0
-        return (float(self._array("finish_ms").max())
-                - float(self._array("arrival_ms").min()))
+        """First arrival to last completion, computed once per filled
+        collector and kept with the other derived values."""
+        span = self._derived.get("makespan")
+        if span is None:
+            span = 0.0
+            if self.num_completed:
+                span = (float(self._array("finish_ms").max())
+                        - float(self._array("arrival_ms").min()))
+            self._derived["makespan"] = span
+        return span
 
     def latency_percentile(self, q: float) -> float:
         """Latency percentile over completed requests (q in [0, 100]),

@@ -112,7 +112,9 @@ def _replay_events(arrival_ms: np.ndarray, num_executors: int,
     parallel batch columns for the next three, and the final
     per-executor free times for write-back.
     """
-    arr = arrival_ms.tolist()
+    # Indexing the array through a memoryview yields the same Python
+    # floats as a list copy would, without building the whole list.
+    arr = memoryview(arrival_ms)
     n = len(arr)
     c = num_executors
     cap = queue_depth

@@ -69,11 +69,40 @@ def test_validate_rejects_bad_dicts():
         (lambda d: d.update(calibration_ms=True), "calibration_ms"),
         (lambda d: d.update(calibration_ms=0.0), "calibration_ms"),
         (lambda d: d.update(calibration_ms=-0.4), "calibration_ms"),
+        (lambda d: d.update(thread_env=["1"]), "thread_env"),
+        (lambda d: d.update(thread_env={"OMP_NUM_THREADS": 1}),
+         "thread_env"),
+        (lambda d: d.update(cpu_count=0), "cpu_count"),
+        (lambda d: d.update(cpu_count=2.0), "cpu_count"),
+        (lambda d: d.update(cpu_count=True), "cpu_count"),
     ]:
         data = json.loads(json.dumps(good))
         mutate(data)
         with pytest.raises(ValueError, match=match):
             validate_run_dict(data)
+
+
+def test_thread_provenance_round_trips(tmp_path):
+    run = make_run()
+    run.thread_env = {"OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1",
+                      "MKL_NUM_THREADS": None}
+    run.cpu_count = 2
+    loaded = load_run(write_run(run, tmp_path))
+    assert loaded == run
+    assert loaded.thread_env["MKL_NUM_THREADS"] is None
+    assert loaded.cpu_count == 2
+
+
+def test_run_file_without_thread_provenance_loads(tmp_path):
+    # Run files written before the keys existed (baseline.json among
+    # them) have neither key.
+    data = make_run().to_dict()
+    del data["thread_env"], data["cpu_count"]
+    path = tmp_path / "old.json"
+    path.write_text(json.dumps(data))
+    loaded = load_run(path)
+    assert loaded.thread_env is None and loaded.cpu_count is None
+    assert loaded == make_run()
 
 
 def test_write_and_load_run(tmp_path):

@@ -1,6 +1,7 @@
 """Runner discipline: warmup/repeat counts, autorange, counters, provenance."""
 
 import gc
+import os
 
 import pytest
 
@@ -79,6 +80,23 @@ def test_run_suites_builds_a_valid_run():
     assert len(seen) == 2 and "t.one" in seen[0]
     from repro.bench.results import validate_run_dict
     validate_run_dict(run.to_dict())
+
+
+def test_run_suites_records_thread_pins_and_cpu_count(monkeypatch):
+    monkeypatch.setenv("OMP_NUM_THREADS", "1")
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "4")
+    monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+    registry = BenchmarkRegistry()
+    registry.register(counting_benchmark([], name="t.one"))
+    run = run_suites(config=RunnerConfig(rounds=1, min_sample_ms=0.0),
+                     registry=registry)
+    assert run.thread_env == {"OMP_NUM_THREADS": "1",
+                              "OPENBLAS_NUM_THREADS": "4",
+                              "MKL_NUM_THREADS": None}
+    assert run.cpu_count == os.cpu_count()
+    data = run.to_dict()
+    assert data["thread_env"]["MKL_NUM_THREADS"] is None
+    assert data["cpu_count"] == os.cpu_count()
 
 
 def test_benchmark_min_sample_override_disables_autorange():

@@ -60,6 +60,43 @@ class TestConfigValidation:
         assert EvoSearchConfig(patience=None).patience is None
         assert EvoSearchConfig(patience=4).patience == 4
 
+    @pytest.mark.parametrize("field", ["population_size", "iterations",
+                                       "num_parents", "mutation_layers",
+                                       "restarts", "workers", "patience",
+                                       "seed"])
+    @pytest.mark.parametrize("value", [2.5, 8.0, True, False, "3"])
+    def test_integer_fields_reject_other_types(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            EvoSearchConfig(**{field: value})
+        if field != "patience":     # None disables early stopping
+            with pytest.raises(ValueError, match=field):
+                EvoSearchConfig(**{field: None})
+
+    @pytest.mark.parametrize("field", ["population_size", "iterations",
+                                       "num_parents", "mutation_layers",
+                                       "restarts", "workers", "patience",
+                                       "seed"])
+    @pytest.mark.parametrize("kind", [np.int8, np.int64, np.uint16])
+    def test_numpy_integers_become_python_ints(self, field, kind):
+        value = getattr(EvoSearchConfig(**{field: kind(3)}), field)
+        assert value == 3 and type(value) is int
+
+    def test_seed_must_be_non_negative(self):
+        with pytest.raises(ValueError, match="seed"):
+            EvoSearchConfig(seed=-1)
+        assert EvoSearchConfig(seed=0).seed == 0
+
+    def test_numpy_integer_config_searches_like_python_ints(self, grid,
+                                                            budget):
+        fields = dict(population_size=8, iterations=3, num_parents=4,
+                      mutation_layers=2, restarts=2, seed=5, patience=2)
+        plain = evolution_search(grid, budget, EvoSearchConfig(**fields))
+        numpy = evolution_search(grid, budget, EvoSearchConfig(
+            **{k: np.int64(v) for k, v in fields.items()}))
+        assert numpy.genome == plain.genome
+        assert numpy.eval == plain.eval
+        assert numpy.history == plain.history
+
 
 class TestInitialPopulation:
     """Regression for the population-sizing bug: with population_size=1 the

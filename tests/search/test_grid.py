@@ -73,6 +73,23 @@ class TestMatrices:
         with pytest.raises(ValueError):
             encode_genome(grid.matrices(), [None])
 
+    def test_decode_rejects_wrong_length(self, grid):
+        m = grid.matrices()
+        for length in (0, m.num_layers - 1, m.num_layers + 1):
+            with pytest.raises(ValueError, match="genome length"):
+                decode_genome(m, np.zeros(length, dtype=np.int64))
+
+    def test_float_cells_cached_per_matrices(self, grid):
+        m = grid.matrices()
+        assert m.float_cells is m.float_cells
+        assert m.layer_offsets is m.layer_offsets
+        K = m.crossbars.shape[1]
+        cells = m.float_cells.reshape(m.num_layers, K, 2)
+        assert (cells[..., 0] == m.latency_ns).all()
+        assert (cells[..., 1] == m.dynamic_pj).all()
+        assert m.layer_offsets[:, 0].tolist() == [
+            li * K for li in range(m.num_layers)]
+
 
 class TestVectorizedAgreement:
     """The satellite contract: vectorized == scalar, bit for bit."""
@@ -103,6 +120,11 @@ class TestVectorizedAgreement:
     def test_bit_for_bit_across_blocks(self, grid):
         # More individuals than one evaluation block holds.
         self.assert_bit_for_bit(grid, random_population(grid, 2500, seed=2))
+
+    @pytest.mark.parametrize("size", [1023, 1024, 1025])
+    def test_bit_for_bit_at_the_block_boundary(self, grid50, size):
+        self.assert_bit_for_bit(grid50,
+                                random_population(grid50, size, seed=size))
 
     def test_single_individual(self, grid50):
         self.assert_bit_for_bit(grid50, random_population(grid50, 1, seed=4))
@@ -164,3 +186,52 @@ class TestVectorizedAgreement:
         with pytest.raises(ValueError):
             evaluate_population(m, np.zeros((2, m.num_layers + 1),
                                             dtype=np.int64))
+
+
+def sequential_rows(x):
+    """The per-layer loop ``evaluate_population`` ran before its single
+    reduction: rows added one by one, in order, onto zeros."""
+    total = np.zeros(x.shape[1:])
+    for row in x:
+        total += row
+    return total
+
+
+class TestLayerAxisReduce:
+    """The NumPy rule ``evaluate_population`` relies on: a reduction
+    over axis 0 of a C-ordered array adds the rows in order, because
+    NumPy sums pairwise only along the contiguous innermost axis."""
+
+    @staticmethod
+    def hard_array(rng, layers, individuals):
+        # Magnitudes 1e-8..1e12 of either sign, a quarter of them zeros
+        # (half of those -0.0), so every rounding path is exercised.
+        shape = (layers, individuals, 2)
+        x = rng.choice([-1.0, 1.0], size=shape) * 10.0 ** rng.uniform(
+            -8, 12, size=shape)
+        zeros = rng.random(shape) < 0.25
+        x[zeros] = np.where(rng.random(int(zeros.sum())) < 0.5, 0.0, -0.0)
+        return x
+
+    def test_matches_sequential_rows_bit_for_bit(self):
+        rng = np.random.default_rng(20261019)
+        layers = [0, 1, 2, 3, 8, 9, 16, 17, 54, 127, 200]
+        layers += rng.integers(0, 201, size=14).tolist()
+        pairwise_differs = 0
+        for L in layers:
+            for P in (0, 1, 2, 127, 1024, 1025):
+                x = self.hard_array(rng, L, P)
+                want = sequential_rows(x).tobytes()
+                assert np.add.reduce(x, axis=0,
+                                     initial=0.0).tobytes() == want, (L, P)
+                # The evaluator's form: written into a block of a buffer.
+                out = np.full((P + 3, 2), np.nan)
+                np.add.reduce(x, axis=0, initial=0.0, out=out[1:P + 1])
+                assert out[1:P + 1].tobytes() == want, (L, P)
+                # A pairwise sum of the same numbers (the layer axis made
+                # innermost) rounds differently: this data would catch a
+                # NumPy that reduced axis 0 pairwise.
+                innermost = np.ascontiguousarray(np.moveaxis(x, 0, -1))
+                pairwise_differs += (innermost.sum(axis=-1).tobytes()
+                                     != want)
+        assert pairwise_differs > len(layers)

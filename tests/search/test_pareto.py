@@ -66,10 +66,14 @@ class TestNonDominatedMaskProperty:
     def test_matches_brute_force_on_tie_heavy_matrices(self):
         rng = np.random.default_rng(20240611)
         sizes = [0, 1, 200] + rng.integers(0, 201, size=197).tolist()
-        for n in sizes:
+        for case, n in enumerate(sizes):
             m = int(rng.integers(1, 5))
             # Few distinct values per column: ties and equal rows abound.
             objectives = rng.integers(0, 4, size=(n, m)).astype(np.float64)
+            if case % 4 == 3:       # infinities and NaNs
+                odd = rng.random((n, m)) < 0.1
+                objectives[odd] = rng.choice([np.inf, -np.inf, np.nan],
+                                             size=int(odd.sum()))
             mask = non_dominated_mask(objectives)
             assert mask.dtype == bool and mask.shape == (n,)
             assert mask.tolist() == brute_force_non_dominated(objectives)
@@ -90,6 +94,10 @@ class TestDedupe:
                     seen.append(row)
                     expected.append(i)
             assert _dedupe(rows).tolist() == expected
+
+    def test_rows_without_columns_are_all_equal(self):
+        assert _dedupe(np.zeros((3, 0), dtype=np.int64)).tolist() == [0]
+        assert _dedupe(np.zeros((0, 0), dtype=np.int64)).tolist() == []
 
     def test_float_rows(self):
         rows = np.array([[1.5, 2.0], [0.5, 1.0], [1.5, 2.0], [0.5, 1.0],

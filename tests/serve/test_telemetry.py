@@ -350,6 +350,44 @@ class TestColumns:
         assert telemetry.latency_percentile(100.0) == 5.0
         assert telemetry.summary()["latency_p99_ms"] == 5.0
 
+    def test_makespan_is_computed_once_per_fill(self, monkeypatch):
+        telemetry = TelemetryCollector(num_chips=2,
+                                       executor_chip_ids=[(0,), (1,)])
+        assert telemetry.makespan_ms == 0.0
+        telemetry.record_completion(record(0, 1.0, 1.0, 5.0, chip=0))
+        telemetry.record_completion(record(1, 2.0, 2.0, 20.0, chip=1))
+        telemetry.summary()
+        reads = []
+        array = TelemetryCollector._array
+
+        def counted(self, name):
+            reads.append(name)
+            return array(self, name)
+
+        # Once the summary has derived its columns, reading the span
+        # again (summary, throughput, utilization) touches neither the
+        # arrival nor the finish column.
+        monkeypatch.setattr(TelemetryCollector, "_array", counted)
+        assert telemetry.makespan_ms == 19.0
+        telemetry.summary()
+        telemetry.throughput_fps()
+        telemetry.chip_utilization()
+        assert "finish_ms" not in reads and "arrival_ms" not in reads
+        # A later completion, a retraction and a bulk ingest each
+        # refresh the span.
+        telemetry.record_completion(record(2, 3.0, 3.0, 40.0, chip=0))
+        assert telemetry.makespan_ms == 39.0
+        assert [r.request_id for r in telemetry.retract(0, 10.0)] == [2]
+        assert telemetry.makespan_ms == 19.0
+        telemetry.ingest_columns(
+            arrival_ms=np.array([0.5]), start_ms=np.array([1.0]),
+            finish_ms=np.array([8.0]),
+            request_id=np.array([9], dtype=np.int64),
+            priority=np.zeros(1, dtype=np.int64),
+            batch_size=np.ones(1, dtype=np.int64),
+            executor_index=np.zeros(1, dtype=np.int64))
+        assert telemetry.makespan_ms == 7.5
+
     def test_unread_columns_are_built_on_first_read(self):
         built = []
 
