@@ -443,12 +443,14 @@ def run_figure4(model_name: str = "resnet50", verbose: bool = True,
     blocks = []
     for metric_index, metric in enumerate(("Latency(ms)", "Energy(mJ)",
                                            "EDP(mJ*ms)")):
-        series = {method: [p.metrics[method][metric_index] for p in points]
+        series = {method: [p.metrics[method][metric_index]
+                           if p.feasible(method) else None for p in points]
                   for method in methods}
         blocks.append(series_block(
             f"Figure 4{chr(ord('a') + metric_index)} — {metric} vs compression",
             "CR", [round(p.compression, 2) for p in points], series))
-    rendered = "\n\n".join(blocks)
+    rendered = "\n\n".join(blocks) + (
+        "\n- : no design found within the uniform design's crossbar count")
     if verbose:
         print(rendered)
     return Figure4Result(points=points, rendered=rendered)

@@ -296,6 +296,13 @@ class Figure4Point:
     compression: float
     # method -> (latency_ms, energy_mj, edp)
     metrics: Dict[str, Tuple[float, float, float]] = field(default_factory=dict)
+    # method -> crossbars of the design behind ``metrics[method]``
+    crossbars: Dict[str, int] = field(default_factory=dict)
+
+    def feasible(self, method: str) -> bool:
+        """Whether ``method``'s design fits the point's crossbar budget,
+        so that it compares at equal compression."""
+        return self.crossbars[method] <= self.target_crossbars
 
 
 # Uniform ladder swept by Fig. 4 (largest to smallest epitome).
@@ -318,7 +325,9 @@ def figure4_series(model_name: str = "resnet50",
     For every uniform design on the ladder, the three optimized methods are
     constrained to the same crossbar count, so every point compares equal
     compression — matching the paper's "similar compression with up to
-    3.07x speedup / 2.36x energy / 7.13x EDP" claim structure.
+    3.07x speedup / 2.36x energy / 7.13x EDP" claim structure.  A search
+    whose budget no candidate design meets still returns its best design;
+    :meth:`Figure4Point.feasible` tells such a cell apart.
     """
     spec = get_network_spec(model_name)
     base = _simulate(spec, weight_bits=weight_bits,
@@ -348,14 +357,15 @@ def figure4_series(model_name: str = "resnet50",
         point = Figure4Point(
             target_crossbars=budget, uniform_shape=(rows, cols),
             compression=base.num_crossbars / uniform.num_crossbars)
-        point.metrics["Uniform"] = (uniform.latency_ms, uniform.energy_mj,
-                                    uniform.edp)
-        point.metrics["EPIM-CW"] = (wrapped.latency_ms, wrapped.energy_mj,
-                                    wrapped.edp)
+        for tag, report in (("Uniform", uniform), ("EPIM-CW", wrapped)):
+            point.metrics[tag] = (report.latency_ms, report.energy_mj,
+                                  report.edp)
+            point.crossbars[tag] = report.num_crossbars
         for grid, tag in ((grid_plain, "EPIM-Evo"), (grid_wrap, "EPIM-Opt")):
             result = evolution_search(
                 grid, budget, replace(search, objective="edp"), lut=lut)
             point.metrics[tag] = (result.eval.latency_ms,
                                   result.eval.energy_mj, result.eval.edp)
+            point.crossbars[tag] = result.eval.crossbars
         points.append(point)
     return points

@@ -13,9 +13,9 @@ contract docs/observability.md advertises: instrumentation costs one
 publication is not free, and both sides pay it: after a 2,000-request
 ResNet-50 replay one ``ServingEngine._publish_metrics`` call takes
 about 0.5 ms on a 2-core host, and the ``design`` A/B sweep's four
-``serve`` calls into one registry take 1.25-1.35x as long as with
-publication stubbed out, most of the difference in merging each later
-run's P² markers into the first's.
+``serve`` calls into one registry spend 1.4-1.6 ms publishing in all
+(medians of 10 sweeps), each histogram sorting its batch's sample and
+merging it into its sorted sample.
 
 Timing is :func:`repro.bench.paired`: ABBA blocks, one cell each, and
 the median block ratio with its ~95% interval; the gate fails only when

@@ -3,8 +3,9 @@
 The cross-subsystem instrumentation layer (docs/observability.md):
 
 - :mod:`repro.obs.metrics` — process-wide registry of counters, gauges
-  and histograms (fixed buckets + P² streaming quantiles, no
-  per-observation retention);
+  and histograms (fixed buckets plus a sorted sample of at most
+  ``SAMPLE_CAP`` values: quantiles exact up to the cap, a deterministic
+  stride sample beyond it);
 - :mod:`repro.obs.tracer` — span tracer exporting Chrome trace-event
   JSON (Perfetto-loadable) and JSONL; no-op by default;
 - :mod:`repro.obs.catalog` — every metric's one declaration (name,
@@ -26,7 +27,6 @@ from .metrics import (
     Gauge,
     Histogram,
     MetricsRegistry,
-    P2Quantile,
 )
 from .runtime import (
     get_metrics,
@@ -59,7 +59,6 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "P2Quantile",
     "NullTracer",
     "Span",
     "Tracer",

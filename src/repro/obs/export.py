@@ -12,10 +12,11 @@ exporter emits (plus arbitrary label sets), not the full exposition
 grammar.
 
 ``metrics_jsonl`` writes one metric object per line; histograms carry
-their bucket vector and streaming quantiles, so the JSONL view is richer
-than the scrape view (quantiles are deliberately *not* exported to
-Prometheus — mixing histogram and summary series under one family is
-invalid exposition).
+their bucket vector and ``DEFAULT_QUANTILES``, read off each histogram's
+sorted sample (exact up to ``SAMPLE_CAP`` observations, a stride sample
+beyond), so the JSONL view is richer than the scrape view (quantiles
+are deliberately *not* exported to Prometheus — mixing histogram and
+summary series under one family is invalid exposition).
 """
 
 from __future__ import annotations
@@ -205,7 +206,7 @@ def metrics_jsonl(registry: MetricsRegistry) -> str:
                             in metric.cumulative_buckets()],
                 "quantiles": {f"p{int(round(q * 100))}": scrub(v)
                               for q, v in
-                              metric.tracked_quantiles().items()},
+                              metric.quantiles().items()},
             }
         else:
             payload = {

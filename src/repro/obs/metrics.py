@@ -7,17 +7,16 @@ namespaced keys (``serve.engine.latency_ms``, ``search.gridcache.hits``,
 the exporters in :mod:`repro.obs.export` serialize the whole registry
 as Prometheus text or JSONL.
 
-Histograms keep **no per-observation state**: a fixed cumulative bucket
-vector plus :class:`P2Quantile` streaming estimators (Jain & Chlamtac's
-P² algorithm — five markers per tracked quantile, O(1) memory and update
-cost), so a million-request replay publishes latency percentiles without
-retaining a million records.  ``observe_many`` feeds the quantile
-markers at most :data:`P2_SAMPLE_CAP` stride-sampled values per call
-and sorts that sample once: every estimator's markers are read off the
-sorted copy by :func:`sorted_quantiles`, which returns what
-``np.quantile`` would, bit for bit, without selecting again.  When the
-sample is the whole batch, the bucket counts are one binary search per
-bound into it; a larger batch's take one comparison pass per bound.
+A histogram keeps exact bucket counts, sum, min and max, and one sorted
+float64 sample of at most :data:`SAMPLE_CAP` values; its quantiles are
+read off that sample by :func:`sorted_quantiles`, which returns what
+``np.quantile`` would, bit for bit.  Until the histogram has seen more
+than the cap, the sample is every value, so its quantiles are exact
+however the values were split into publishes.  Beyond the cap the
+sample is a deterministic stride sample (:meth:`Histogram.observe_many`
+states the rule): each kept value stands for the same number of
+observations, and a million-request replay publishes its percentiles
+without retaining a million values.
 """
 
 from __future__ import annotations
@@ -30,11 +29,10 @@ import numpy as np
 __all__ = [
     "DEFAULT_BUCKETS",
     "DEFAULT_QUANTILES",
-    "P2_SAMPLE_CAP",
+    "SAMPLE_CAP",
     "Counter",
     "Gauge",
     "Histogram",
-    "P2Quantile",
     "MetricsRegistry",
     "sorted_quantiles",
 ]
@@ -43,12 +41,12 @@ __all__ = [
 DEFAULT_BUCKETS = (0.5, 1.0, 2.0, 5.0, 10.0, 20.0, 50.0, 100.0,
                    200.0, 500.0, 1000.0, 2000.0, 5000.0)
 
-# Streaming quantiles every histogram tracks.
+# Quantiles every histogram exports.
 DEFAULT_QUANTILES = (0.5, 0.95, 0.99)
 
-# Per-``observe_many`` cap on values fed to the P² markers (stride
-# sampled); bucket counts always see every value.
-P2_SAMPLE_CAP = 8192
+# Most values a histogram's quantile sample holds; the bucket counts,
+# sum, min and max always see every value.
+SAMPLE_CAP = 8192
 
 
 def sorted_quantiles(ordered: np.ndarray, probs) -> np.ndarray:
@@ -85,135 +83,6 @@ def sorted_quantiles(ordered: np.ndarray, probs) -> np.ndarray:
     if np.isnan(ordered[-1]):
         out[:] = ordered[-1]
     return out
-
-
-class P2Quantile:
-    """Streaming quantile estimator (the P² algorithm, Jain & Chlamtac
-    1985): five markers whose heights approximate the q-quantile without
-    storing observations.  Exact until five observations have arrived.
-    """
-
-    __slots__ = ("q", "count", "_heights", "_positions", "_desired",
-                 "_increments")
-
-    def __init__(self, q: float):
-        if not 0.0 < q < 1.0:
-            raise ValueError("q must be in (0, 1)")
-        self.q = q
-        self.count = 0
-        self._heights: List[float] = []
-        self._positions = [1.0, 2.0, 3.0, 4.0, 5.0]
-        self._desired = [1.0, 1.0 + 2.0 * q, 1.0 + 4.0 * q,
-                         3.0 + 2.0 * q, 5.0]
-        self._increments = (0.0, q / 2.0, q, (1.0 + q) / 2.0, 1.0)
-
-    def observe(self, x: float) -> None:
-        self.count += 1
-        h = self._heights
-        if self.count <= 5:
-            h.append(float(x))
-            if self.count == 5:
-                h.sort()
-            return
-        # Locate the cell containing x, clamping the extremes.
-        if x < h[0]:
-            h[0] = x
-            k = 0
-        elif x >= h[4]:
-            h[4] = x
-            k = 3
-        else:
-            k = 0
-            while x >= h[k + 1]:
-                k += 1
-        pos = self._positions
-        for i in range(k + 1, 5):
-            pos[i] += 1.0
-        des = self._desired
-        for i in range(5):
-            des[i] += self._increments[i]
-        # Adjust the three interior markers by parabolic interpolation,
-        # falling back to linear when P² would break monotonicity.
-        for i in (1, 2, 3):
-            d = des[i] - pos[i]
-            if (d >= 1.0 and pos[i + 1] - pos[i] > 1.0) or \
-                    (d <= -1.0 and pos[i - 1] - pos[i] < -1.0):
-                step = 1.0 if d >= 1.0 else -1.0
-                candidate = self._parabolic(i, step)
-                if h[i - 1] < candidate < h[i + 1]:
-                    h[i] = candidate
-                else:
-                    h[i] = self._linear(i, step)
-                pos[i] += step
-    def observe_bulk(self, values: np.ndarray,
-                     sketch: Optional[np.ndarray] = None) -> None:
-        """Feed a batch of observations without a per-value Python loop.
-
-        A fresh estimator initializes its five markers from the batch's
-        *exact* quantiles — the state P² would converge toward; while it
-        still holds raw samples (count 1-5) the batch is pooled with them
-        first.  Once the markers are summaries (count > 5), the batch's
-        exact quantile sketch is merged in by averaging the two
-        piecewise-linear CDFs weighted by observation count and
-        re-reading the marker heights off the merged curve.  Either way
-        the update is O(n log n) vectorized and O(1) memory; the
-        publish-once pattern (fresh registry per run) hits the exact
-        path.  Batches smaller than five stream one at a time.
-
-        ``sketch``, when given, is ``np.quantile(values, probs)`` at this
-        estimator's marker probabilities, read by the caller off one
-        sorted copy for several estimators (:meth:`Histogram.observe_many`).
-        """
-        arr = np.asarray(values, dtype=np.float64).ravel()
-        n = int(arr.size)
-        if n == 0:
-            return
-        if n < 5:
-            for v in arr.tolist():
-                self.observe(v)
-            return
-        probs = np.asarray(self._increments)  # (0, q/2, q, (1+q)/2, 1)
-        if 0 < self.count <= 5:
-            # Heights are still the raw first observations: pool & redo.
-            pooled = np.concatenate([np.asarray(self._heights), arr])
-            heights = np.quantile(pooled, probs)
-        else:
-            batch = np.quantile(arr, probs) if sketch is None else sketch
-            heights = batch
-            if self.count:
-                mine = np.asarray(self._heights)
-                knots = np.union1d(mine, batch)
-                merged_cdf = (self.count * np.interp(knots, mine, probs)
-                              + n * np.interp(knots, batch, probs)) \
-                    / (self.count + n)
-                heights = np.interp(probs, merged_cdf, knots)
-        total = self.count + n
-        self._heights = [float(v) for v in heights]
-        self._positions = [1.0 + p * (total - 1) for p in probs]
-        self._desired = list(self._positions)
-        self.count = total
-
-    def _parabolic(self, i: int, step: float) -> float:
-        h, pos = self._heights, self._positions
-        return h[i] + step / (pos[i + 1] - pos[i - 1]) * (
-            (pos[i] - pos[i - 1] + step) * (h[i + 1] - h[i])
-            / (pos[i + 1] - pos[i])
-            + (pos[i + 1] - pos[i] - step) * (h[i] - h[i - 1])
-            / (pos[i] - pos[i - 1]))
-
-    def _linear(self, i: int, step: float) -> float:
-        h, pos = self._heights, self._positions
-        j = i + int(step)
-        return h[i] + step * (h[j] - h[i]) / (pos[j] - pos[i])
-
-    def value(self) -> float:
-        """Current estimate (NaN before the first observation)."""
-        if self.count == 0:
-            return float("nan")
-        if self.count <= 5:
-            ordered = sorted(self._heights)
-            return float(np.percentile(np.array(ordered), self.q * 100.0))
-        return self._heights[2]
 
 
 class Counter:
@@ -253,19 +122,17 @@ class Gauge:
 
 
 class Histogram:
-    """Fixed-bucket histogram with streaming quantile markers.
+    """Fixed-bucket histogram with a sorted quantile sample.
 
     ``buckets`` are inclusive upper bounds in ascending order; an implicit
-    +inf bucket catches the overflow.  ``quantile(q)`` returns the P²
-    estimate for tracked quantiles and falls back to linear interpolation
-    over the bucket counts otherwise.
+    +inf bucket catches the overflow.  ``quantile(q)`` reads the sample
+    (:meth:`observe_many`), exact up to :data:`SAMPLE_CAP` observations.
     """
 
     __slots__ = ("name", "help", "buckets", "bucket_counts", "count",
-                 "sum", "min", "max", "_quantiles")
+                 "sum", "min", "max", "_sample", "_stride")
 
     def __init__(self, name: str, buckets: Sequence[float] = DEFAULT_BUCKETS,
-                 quantiles: Sequence[float] = DEFAULT_QUANTILES,
                  help: str = ""):
         bounds = tuple(float(b) for b in buckets)
         if not bounds or any(b2 <= b1 for b1, b2 in zip(bounds, bounds[1:])):
@@ -278,45 +145,55 @@ class Histogram:
         self.sum = 0.0
         self.min = float("inf")
         self.max = float("-inf")
-        self._quantiles = {q: P2Quantile(q) for q in quantiles}
+        self._sample = np.empty(0)
+        self._stride = 1
 
     def observe(self, value: float) -> None:
-        value = float(value)
-        i = int(np.searchsorted(self.buckets, value, side="left"))
-        self.bucket_counts[i] += 1
-        self.count += 1
-        self.sum += value
-        if value < self.min:
-            self.min = value
-        if value > self.max:
-            self.max = value
-        for est in self._quantiles.values():
-            est.observe(value)
+        self.observe_many((value,))
 
     def observe_many(self, values: Union[Sequence[float], np.ndarray]) -> None:
-        """Bulk observation: vectorized bucket/sum/min/max accounting, with
-        the P² markers fed at most :data:`P2_SAMPLE_CAP` stride-sampled
-        values (the estimator is already approximate; the stride keeps a
-        1M-value publish from looping a million times in Python).
+        """Bulk observation: vectorized bucket/sum/min/max accounting,
+        and one sorted merge of the batch's sample into the histogram's.
 
-        The sample is sorted once.  Every estimator's marker heights come
-        from one :func:`sorted_quantiles` read of the sorted copy, and
-        when the sample is the whole batch the bucket counts are one
-        ``searchsorted`` of the bounds into it; a larger batch's buckets
-        take one comparison pass per bound, cheaper than sorting the
-        whole batch.  ``sum``, ``min`` and ``max`` are taken on the batch
-        as given: a pairwise sum depends on the order of its elements."""
+        The sample holds ``ceil(count / stride)`` values, each standing
+        for ``stride`` observations.  ``stride`` starts at 1, so until
+        ``count`` passes :data:`SAMPLE_CAP` the sample is every value
+        observed.  A batch that takes ``count`` past ``stride *
+        SAMPLE_CAP`` first multiplies the stride by the integer ``k =
+        ceil(count / (stride * SAMPLE_CAP))`` (``count`` including the
+        batch) and thins the sorted sample to the middle value of each
+        run of ``k`` (index ``k // 2``, or the last of a shorter final
+        run).  The batch then keeps the values at stream positions 0,
+        ``stride``, ``2 * stride``, ... counted over everything observed
+        in arrival order, so a fresh histogram's first batch of ``n``
+        keeps ``values[::ceil(n / SAMPLE_CAP)]``.  Since ``stride *
+        SAMPLE_CAP >= count``, the sample never holds more than
+        :data:`SAMPLE_CAP` values; once the stride is above 1 it holds
+        more than ``SAMPLE_CAP // 2``.  No random number is drawn.
+
+        The batch's sample is sorted once.  When it is the whole batch
+        (stride 1), the bucket counts are one ``searchsorted`` of the
+        bounds into it; otherwise they take one comparison pass per
+        bound, cheaper than sorting the whole batch.  ``sum``, ``min``
+        and ``max`` are taken on the batch as given: a pairwise sum
+        depends on the order of its elements."""
         arr = np.asarray(values, dtype=np.float64).ravel()
         n = int(arr.size)
         if n == 0:
             return
-        sample = arr
-        if n > P2_SAMPLE_CAP:
-            sample = arr[:: int(np.ceil(n / P2_SAMPLE_CAP))]
-        ordered = np.sort(sample)
+        total = self.count + n
+        stride = self._stride
+        if total > stride * SAMPLE_CAP:
+            k = -(-total // (stride * SAMPLE_CAP))      # ceil
+            stride *= k
+            kept = self._sample
+            self._sample = kept[np.minimum(np.arange(0, kept.size, k) + k // 2,
+                                           kept.size - 1)]
+            self._stride = stride
+        ordered = np.sort(arr[-self.count % stride::stride])
         # Bucket i holds the values in (bound[i-1], bound[i]]; NaN fails
         # every comparison (and sorts last), so it lands in +inf.
-        if sample is arr:
+        if stride == 1:
             at_or_below = np.searchsorted(ordered, self.buckets,
                                           "right").tolist()
         else:
@@ -327,42 +204,32 @@ class Histogram:
             self.bucket_counts[i] += count - below
             below = count
         self.bucket_counts[-1] += n - below
-        self.count += n
+        self.count = total
         self.sum += float(arr.sum())
         self.min = min(self.min, float(arr.min()))
         self.max = max(self.max, float(arr.max()))
-        estimators = list(self._quantiles.values())
-        sketch = sorted_quantiles(ordered, [p for est in estimators
-                                            for p in est._increments])
-        for k, est in enumerate(estimators):
-            est.observe_bulk(sample, sketch[5 * k:5 * k + 5])
+        if self._sample.size:
+            # Two sorted runs: the stable sort (timsort) merges them.
+            ordered = np.concatenate((self._sample, ordered))
+            ordered.sort(kind="stable")
+        self._sample = ordered
 
     @property
     def mean(self) -> float:
         return self.sum / self.count if self.count else float("nan")
 
-    def tracked_quantiles(self) -> Dict[float, float]:
-        return {q: est.value() for q, est in sorted(self._quantiles.items())}
+    def quantiles(self, probs: Sequence[float] = DEFAULT_QUANTILES
+                  ) -> Dict[float, float]:
+        """``{q: quantile}`` off the sample (NaN while empty) — by default
+        the exported :data:`DEFAULT_QUANTILES`."""
+        if not all(0.0 <= q <= 1.0 for q in probs):
+            raise ValueError("quantiles must be in [0, 1]")
+        values = (sorted_quantiles(self._sample, probs).tolist()
+                  if self.count else [float("nan")] * len(probs))
+        return dict(zip(probs, values))
 
     def quantile(self, q: float) -> float:
-        """P² estimate for tracked quantiles; bucket interpolation else."""
-        if q in self._quantiles:
-            return self._quantiles[q].value()
-        if self.count == 0:
-            return float("nan")
-        target = q * self.count
-        cumulative = 0
-        lower = self.min
-        for i, upper in enumerate(self.buckets):
-            cell = self.bucket_counts[i]
-            if cumulative + cell >= target:
-                frac = (target - cumulative) / cell if cell else 0.0
-                lo = max(lower, self.min)
-                hi = min(upper, self.max)
-                return lo + frac * max(0.0, hi - lo)
-            cumulative += cell
-            lower = upper
-        return self.max
+        return self.quantiles((q,))[q]
 
     def cumulative_buckets(self) -> List[Tuple[float, int]]:
         """``(upper_bound, cumulative_count)`` pairs, +inf last — the
@@ -411,11 +278,9 @@ class MetricsRegistry:
 
     def histogram(self, name: str,
                   buckets: Sequence[float] = DEFAULT_BUCKETS,
-                  quantiles: Sequence[float] = DEFAULT_QUANTILES,
                   help: str = "") -> Histogram:
         return self._get_or_create(
             name, Histogram, lambda: Histogram(name, buckets=buckets,
-                                               quantiles=quantiles,
                                                help=help))
 
     def get(self, name: str) -> Optional[Metric]:
@@ -445,7 +310,7 @@ class MetricsRegistry:
                 out[f"{metric.name}.count"] = float(metric.count)
                 out[f"{metric.name}.sum"] = metric.sum
                 out[f"{metric.name}.mean"] = metric.mean
-                for q, value in metric.tracked_quantiles().items():
+                for q, value in metric.quantiles().items():
                     out[f"{metric.name}.p{int(round(q * 100))}"] = value
             else:
                 out[metric.name] = metric.value

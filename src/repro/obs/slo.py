@@ -9,10 +9,10 @@ An :class:`SLO` names two operator targets:
   queue rejects under overload).
 
 :meth:`SLO.evaluate` takes the *observed* numbers (from a
-:class:`~repro.serve.telemetry.TelemetryCollector`, or from a registry
-:class:`~repro.obs.metrics.Histogram` via :meth:`SLO.evaluate_histogram`
-when per-request records were never retained) and returns an
-:class:`SLOReport` with per-target verdicts and the overall attainment.
+:class:`~repro.serve.telemetry.TelemetryCollector`'s exact columns, or
+from a registry :class:`~repro.obs.metrics.Histogram`'s ``quantile``,
+exact up to its sample cap) and returns an :class:`SLOReport` with
+per-target verdicts and the overall attainment.
 Either target may be ``None`` (not enforced); an SLO with no targets is
 vacuously attained.
 """
@@ -116,11 +116,3 @@ class SLO:
             availability_attained=verdict(self.availability, availability,
                                           lambda obs, tgt: obs >= tgt),
         )
-
-    def evaluate_histogram(self, histogram,
-                           availability: Optional[float] = None
-                           ) -> SLOReport:
-        """Attainment from a :class:`~repro.obs.metrics.Histogram`'s
-        streaming p99 — the record-free path for huge replays."""
-        return self.evaluate(p99_ms=histogram.quantile(0.99),
-                             availability=availability)

@@ -169,28 +169,22 @@ def initial_population(grid: CandidateGrid, population_size: int,
     matrices = grid.matrices()
     counts = matrices.num_options
     L = matrices.num_layers
-    smallest = np.array([int(np.argmin(matrices.crossbars[li, :counts[li]]))
-                         for li in range(L)], dtype=np.int64)
+    # Padding columns (past each layer's options) never win the argmin,
+    # which takes each row's first minimum.
+    in_range = np.arange(matrices.crossbars.shape[1]) < counts[:, None]
+    smallest = np.where(in_range, matrices.crossbars,
+                        np.iinfo(np.int64).max).argmin(axis=1).astype(np.int64)
     if population_size == 1:
         return smallest[None, :]
 
-    all_candidates = sorted({cand for opts in matrices.options
-                             for cand in opts if cand is not None})
-    seeds: List[np.ndarray] = []
-    for cand in all_candidates[:max(0, population_size - 2)]:
-        genome = smallest.copy()
-        for li, opts in enumerate(matrices.options):
-            if cand in opts:
-                genome[li] = opts.index(cand)
-        seeds.append(genome)
+    table = matrices.candidate_options[:max(0, population_size - 2)]
+    seeds = np.where(table >= 0, table, smallest)
     n_random = max(0, population_size - 1 - len(seeds))
     rows: List[np.ndarray] = []
     if n_random:
         rows.append(rng.integers(0, counts, size=(n_random, L),
                                  dtype=np.int64))
-    if seeds:
-        rows.append(np.stack(seeds))
-    rows.append(smallest[None, :])
+    rows += [seeds, smallest[None, :]]
     return np.concatenate(rows, axis=0)
 
 

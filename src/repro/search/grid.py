@@ -121,6 +121,23 @@ class GridMatrices:
         L, K = self.crossbars.shape
         return np.arange(L)[:, None] * K
 
+    @cached_property
+    def candidate_options(self) -> np.ndarray:
+        """``(C, L)`` option index of each epitome candidate in each
+        layer, -1 where the layer lacks it; rows follow the sorted
+        candidates of all layers.  Built on first use and kept."""
+        candidates = sorted({cand for opts in self.options
+                             for cand in opts if cand is not None})
+        row = {cand: i for i, cand in enumerate(candidates)}
+        table = np.full((len(candidates), self.num_layers), -1,
+                        dtype=np.int64)
+        for li, opts in enumerate(self.options):
+            for ki, cand in enumerate(opts):
+                # A candidate listed twice keeps its first index.
+                if cand is not None and table[row[cand], li] < 0:
+                    table[row[cand], li] = ki
+        return table
+
 
 @dataclass(frozen=True)
 class GridBuildStats:

@@ -13,6 +13,7 @@ from repro.analysis.experiments import (
     run_search,
     run_table1,
 )
+from repro.analysis.hardware import FIGURE4_UNIFORM_LADDER
 from repro.search import EvoSearchConfig
 
 
@@ -84,3 +85,30 @@ class TestRunFigure4:
         for point in result.points:
             assert set(point.metrics) == {"Uniform", "EPIM-CW",
                                           "EPIM-Evo", "EPIM-Opt"}
+
+    def test_default_ladder_tabulates_only_designs_within_budget(self):
+        """Every numeric EPIM-Evo/EPIM-Opt cell of the default ladder is a
+        design within its point's crossbar budget.  At (128, 32) the
+        budget is below every candidate design, so both cells are '-'."""
+        result = run_figure4(verbose=False)
+        points = result.points
+        assert [p.uniform_shape for p in points] == FIGURE4_UNIFORM_LADDER
+        blocks = result.rendered.split("\n\n")
+        assert len(blocks) == 3
+        for block in blocks:
+            lines = block.splitlines()
+            header = lines[1].split()
+            rows = [line.split() for line in lines[3:3 + len(points)]]
+            for point, row in zip(points, rows):
+                cells = dict(zip(header, row))
+                for method in ("EPIM-Evo", "EPIM-Opt"):
+                    if cells[method] != "-":
+                        float(cells[method])
+                        assert point.crossbars[method] <= \
+                            point.target_crossbars, (point, method)
+                    if point.uniform_shape == (128, 32):
+                        assert cells[method] == "-"
+                        assert point.crossbars[method] > \
+                            point.target_crossbars
+        assert result.rendered.endswith(
+            "- : no design found within the uniform design's crossbar count")

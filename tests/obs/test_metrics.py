@@ -1,16 +1,18 @@
-"""Tests for the metrics registry: counters, gauges, histograms, P²."""
+"""Tests for the metrics registry: counters, gauges, histograms and
+their quantile sample."""
 
 import numpy as np
 import pytest
 
 from repro.obs.metrics import (
     DEFAULT_BUCKETS,
-    P2_SAMPLE_CAP,
+    DEFAULT_QUANTILES,
+    SAMPLE_CAP,
     Counter,
     Gauge,
     Histogram,
     MetricsRegistry,
-    P2Quantile,
+    sorted_quantiles,
 )
 
 
@@ -36,71 +38,6 @@ class TestGauge:
         assert g.value == 13.0
 
 
-class TestP2Quantile:
-    def test_exact_below_five_observations(self):
-        est = P2Quantile(0.5)
-        for x in (5.0, 1.0, 3.0):
-            est.observe(x)
-        assert est.value() == pytest.approx(3.0)
-
-    def test_streaming_median_converges(self):
-        rng = np.random.default_rng(0)
-        est = P2Quantile(0.5)
-        data = rng.normal(100.0, 15.0, size=20000)
-        for x in data:
-            est.observe(float(x))
-        assert est.value() == pytest.approx(float(np.median(data)), rel=0.02)
-
-    def test_streaming_p99_converges(self):
-        rng = np.random.default_rng(1)
-        est = P2Quantile(0.99)
-        data = rng.gamma(2.0, 10.0, size=20000)
-        for x in data:
-            est.observe(float(x))
-        assert est.value() == pytest.approx(
-            float(np.quantile(data, 0.99)), rel=0.05)
-
-    def test_bulk_cold_start_is_exact(self):
-        rng = np.random.default_rng(2)
-        data = rng.gamma(2.0, 8.0, size=4000)
-        est = P2Quantile(0.95)
-        est.observe_bulk(data)
-        assert est.count == 4000
-        assert est.value() == pytest.approx(
-            float(np.quantile(data, 0.95)), rel=1e-9)
-
-    def test_bulk_merge_tracks_chunked_stream(self):
-        rng = np.random.default_rng(3)
-        chunks = [rng.gamma(2.0, 8.0, size=1000) for _ in range(5)]
-        est = P2Quantile(0.95)
-        for chunk in chunks:
-            est.observe_bulk(chunk)
-        exact = float(np.quantile(np.concatenate(chunks), 0.95))
-        assert est.count == 5000
-        assert est.value() == pytest.approx(exact, rel=0.10)
-
-    def test_bulk_then_streaming_keeps_working(self):
-        rng = np.random.default_rng(4)
-        est = P2Quantile(0.5)
-        est.observe_bulk(rng.normal(50.0, 5.0, size=1000))
-        for x in rng.normal(50.0, 5.0, size=1000):
-            est.observe(float(x))
-        assert est.count == 2000
-        assert est.value() == pytest.approx(50.0, abs=1.5)
-
-    def test_tiny_bulk_falls_back_to_streaming(self):
-        est = P2Quantile(0.5)
-        est.observe_bulk(np.array([3.0, 1.0]))
-        assert est.count == 2
-        assert est.value() == pytest.approx(2.0)
-
-    def test_rejects_degenerate_quantile(self):
-        with pytest.raises(ValueError):
-            P2Quantile(0.0)
-        with pytest.raises(ValueError):
-            P2Quantile(1.0)
-
-
 class TestHistogram:
     def test_bucket_counts_and_moments(self):
         h = Histogram("lat", buckets=(1.0, 10.0, 100.0))
@@ -122,68 +59,121 @@ class TestHistogram:
         assert bulk.bucket_counts == loop.bucket_counts
         assert bulk.count == loop.count == 800
         assert bulk.sum == pytest.approx(loop.sum)
-        for q in (0.5, 0.95, 0.99):
-            assert bulk.quantile(q) == pytest.approx(
-                loop.quantile(q), rel=0.05)
+        assert bulk.quantiles() == loop.quantiles() == dict(
+            zip(DEFAULT_QUANTILES,
+                np.quantile(data, DEFAULT_QUANTILES).tolist()))
 
     def test_observe_many_strides_above_cap(self):
         rng = np.random.default_rng(6)
-        data = rng.normal(10.0, 1.0, size=P2_SAMPLE_CAP * 2 + 17)
+        data = rng.normal(10.0, 1.0, size=SAMPLE_CAP * 2 + 17)
         h = Histogram("big")
         h.observe_many(data)
-        # every value is counted; only the quantile markers subsample
+        # every value is counted; only the quantile sample strides
         assert h.count == data.size
         assert h.quantile(0.5) == pytest.approx(
             float(np.median(data)), rel=0.02)
 
-    def test_observe_many_matches_unshared_reference(self):
-        """Bucket counts equal a per-value binary search, and every P²
-        estimator ends exactly where its own ``observe_bulk`` (no shared
-        sketch) takes it — fresh, raw-sample and summarized estimators,
-        ties on bucket bounds, infinities, NaN, strided batches."""
+    def test_bucket_counts_match_binary_search(self):
+        """Bucket counts equal a per-value binary search: after earlier
+        single observations, with ties on bucket bounds, infinities,
+        NaN, and strided batches."""
         rng = np.random.default_rng(8)
         buckets = (0.0, 1.0, 5.0, 10.0, 50.0)
         for _ in range(120):
-            n = int(rng.choice([1, 4, 5, 6, 300, P2_SAMPLE_CAP + 3,
-                                3 * P2_SAMPLE_CAP]))
+            n = int(rng.choice([1, 4, 5, 6, 300, SAMPLE_CAP + 3,
+                                3 * SAMPLE_CAP]))
             data = rng.integers(-2, 60, n).astype(float)
             data[rng.integers(0, n)] = rng.choice(
                 [np.inf, -np.inf, np.nan, -0.0])
             warm = rng.gamma(2.0, 5.0, size=int(rng.choice([0, 3, 9])))
             h = Histogram("h", buckets=buckets)
-            refs = {q: P2Quantile(q) for q in h._quantiles}
             for v in warm.tolist():
                 h.observe(v)
-                for ref in refs.values():
-                    ref.observe(v)
             expected = list(h.bucket_counts)
             index = np.searchsorted(buckets, data, side="left")
             for i, count in enumerate(np.bincount(index, minlength=6)):
                 expected[i] += int(count)
-            sample = data
-            if n > P2_SAMPLE_CAP:
-                sample = data[:: int(np.ceil(n / P2_SAMPLE_CAP))]
-            with np.errstate(invalid="ignore"):    # inf - inf in quantiles
-                for ref in refs.values():
-                    ref.observe_bulk(sample)
-                h.observe_many(data)
+            h.observe_many(data)
             assert h.bucket_counts == expected
-            for q, est in h._quantiles.items():
-                assert repr((est.count, est._heights, est._positions)) == \
-                    repr((refs[q].count, refs[q]._heights,
-                          refs[q]._positions))
 
-    def test_untracked_quantile_interpolates_buckets(self):
-        h = Histogram("lat", buckets=(10.0, 20.0), quantiles=(0.5,))
-        for v in (2.0, 4.0, 12.0, 18.0):
-            h.observe(v)
-        value = h.quantile(0.25)      # not tracked -> bucket interpolation
-        assert 2.0 <= value <= 10.0
+    def test_first_publish_above_cap_keeps_stride_sample(self):
+        """A fresh histogram's first batch of ``n > SAMPLE_CAP`` values
+        keeps ``values[::ceil(n / SAMPLE_CAP)]``, and its quantiles are
+        those of that sample."""
+        rng = np.random.default_rng(9)
+        probs = [0.0, 0.1, 0.5, 0.95, 0.99, 1.0]
+        for n in (SAMPLE_CAP + 1, 2 * SAMPLE_CAP, 2 * SAMPLE_CAP + 1,
+                  7 * SAMPLE_CAP + 5):
+            data = rng.gamma(2.0, 8.0, size=n)
+            h = Histogram("h")
+            h.observe_many(data)
+            kept = data[::-(-n // SAMPLE_CAP)]
+            assert np.array_equal(h._sample, np.sort(kept))
+            assert h._sample.size <= SAMPLE_CAP
+            quantiles = h.quantiles(probs)
+            assert [quantiles[p] for p in probs] == \
+                np.quantile(kept, probs).tolist()
+
+    def test_stride_growth_keeps_each_runs_middle(self):
+        """Values equal to their stream positions: growing the stride to
+        4 keeps sorted index 2 of each run of four old values (the last
+        of the shorter final run), and the batch keeps the positions
+        that are multiples of 4."""
+        h = Histogram("h")
+        h.observe_many(np.arange(SAMPLE_CAP - 3, dtype=float))
+        h.observe_many(np.arange(SAMPLE_CAP - 3, 4 * SAMPLE_CAP - 3,
+                                 dtype=float))
+        assert h._stride == 4
+        expected = np.concatenate((np.arange(2, SAMPLE_CAP - 4, 4),
+                                   [SAMPLE_CAP - 4],
+                                   np.arange(SAMPLE_CAP, 4 * SAMPLE_CAP - 3, 4)))
+        assert expected.size == SAMPLE_CAP
+        assert np.array_equal(h._sample, expected)
+
+    def test_publishes_above_cap_keep_equal_weight(self):
+        """Across publishes that pass the cap, the stride grows only by
+        integer factors, every kept value stands for ``stride``
+        observations (``ceil(count / stride)`` of them), the sample
+        holds more than ``SAMPLE_CAP // 2`` and at most ``SAMPLE_CAP``
+        observed values in sorted order,
+        the same publishes give the same sample, and the quantiles stay
+        within a rank error of the pooled values' of 1%."""
+        rng = np.random.default_rng(10)
+        batches = [rng.gamma(2.0, 8.0, size=int(n))
+                   for n in rng.integers(1, 3 * SAMPLE_CAP, size=40)]
+        batches[3:3] = [np.array([4.0]), np.array([]), np.array([9.0, 1.0])]
+        h, twin = Histogram("h"), Histogram("twin")
+        seen = []
+        stride = 1
+        for batch in batches:
+            h.observe_many(batch)
+            twin.observe_many(batch)
+            seen.append(batch)
+            assert h._stride % stride == 0
+            stride = h._stride
+            assert h._sample.size == -(-h.count // stride) <= SAMPLE_CAP
+            assert stride == 1 or h._sample.size > SAMPLE_CAP // 2
+            assert np.all(np.diff(h._sample) >= 0)
+            assert np.array_equal(h._sample, twin._sample)
+        pooled = np.sort(np.concatenate(seen))
+        assert stride > 1 and np.isin(h._sample, pooled).all()
+        for q, value in h.quantiles((0.01, 0.5, 0.95, 0.99)).items():
+            rank = np.searchsorted(pooled, value) / pooled.size
+            assert abs(rank - q) < 0.01, (q, rank)
 
     def test_empty_histogram_is_nan(self):
         h = Histogram("lat")
         assert np.isnan(h.mean)
         assert np.isnan(h.quantile(0.5))
+        assert all(np.isnan(v) for v in h.quantiles().values())
+
+    def test_rejects_quantile_outside_unit_interval(self):
+        h = Histogram("lat")
+        h.observe_many([1.0, 2.0])
+        assert h.quantile(1.0) == 2.0
+        for q in (-0.1, 1.5, float("nan")):
+            with pytest.raises(ValueError, match="in \\[0, 1\\]"):
+                h.quantile(q)
 
     def test_cumulative_buckets_end_with_inf(self):
         h = Histogram("lat", buckets=(1.0, 2.0))

@@ -1,5 +1,5 @@
-"""``sorted_quantiles`` against NumPy, and sorted bucket counts against
-one comparison pass per bound.
+"""``sorted_quantiles`` and histogram quantiles against NumPy, and
+sorted bucket counts against one comparison pass per bound.
 
 The histograms and ``summary()`` read their quantiles off one sorted
 copy of each sample with :func:`repro.obs.metrics.sorted_quantiles`,
@@ -7,8 +7,10 @@ which promises what ``np.quantile`` (and ``np.percentile``, through
 ``np.true_divide(q, 100)``) return, bit for bit.  The property is
 checked by ``float.hex`` over arrays that reach the corners of NumPy's
 arithmetic: one or two elements, ties and all-equal arrays, signed
-zeros, infinities and NaN, arrays longer than ``P2_SAMPLE_CAP``, and
+zeros, infinities and NaN, arrays longer than ``SAMPLE_CAP``, and
 the exact probability vectors the histograms and ``summary()`` use.
+A histogram that has seen at most ``SAMPLE_CAP`` values must report
+``np.quantile`` of all of them, however they were split into publishes.
 
 NumPy selects by partition, which may leave tied ``-0.0`` and ``0.0``
 in another order than a sort does; where an array holds both, the
@@ -21,25 +23,21 @@ from hypothesis import given, settings, strategies as st
 
 from repro.obs.metrics import (
     DEFAULT_QUANTILES,
-    P2_SAMPLE_CAP,
+    SAMPLE_CAP,
     Histogram,
-    P2Quantile,
     sorted_quantiles,
 )
 
-# Every estimator's marker probabilities, as Histogram.observe_many
-# asks for them, and the percentiles summary() reports.
-HISTOGRAM_PROBS = [p for q in DEFAULT_QUANTILES
-                   for p in P2Quantile(q)._increments]
 SUMMARY_PERCENTILES = [50.0, 95.0, 99.0]
 SPECIALS = [0.0, -0.0, np.inf, -np.inf, np.nan]
 BOUNDS = (0.0, 0.5, 1.0, 2.0, 5.0, 10.0, 50.0)
 
 
 @st.composite
-def samples(draw):
-    """A float64 array: small with hypothesis-drawn values, or longer
-    than ``P2_SAMPLE_CAP`` drawn from a seeded pool."""
+def samples(draw, long_sizes=(SAMPLE_CAP + 1, 3 * SAMPLE_CAP)):
+    """A float64 array: small with hypothesis-drawn values, or one of
+    ``long_sizes`` (by default longer than ``SAMPLE_CAP``) drawn from a
+    seeded pool."""
     kind = draw(st.sampled_from(["floats", "ties", "equal", "long"]))
     if kind == "floats":
         values = draw(st.lists(st.floats(allow_nan=True,
@@ -52,7 +50,7 @@ def samples(draw):
         return np.full(n, value)
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     n = (draw(st.integers(1, 40)) if kind == "ties"
-         else draw(st.integers(P2_SAMPLE_CAP + 1, 3 * P2_SAMPLE_CAP)))
+         else draw(st.integers(*long_sizes)))
     values = rng.integers(-3, 12, n).astype(np.float64) / 2.0
     specials = rng.random(n) < draw(st.sampled_from([0.0, 0.05, 0.3]))
     values[specials] = rng.choice(SPECIALS, int(specials.sum()))
@@ -61,7 +59,7 @@ def samples(draw):
 
 def probabilities():
     return st.one_of(
-        st.just(HISTOGRAM_PROBS),
+        st.just(list(DEFAULT_QUANTILES)),
         st.just(list(np.true_divide(SUMMARY_PERCENTILES, 100))),
         st.lists(st.one_of(st.floats(0.0, 1.0), st.sampled_from([0.0, 1.0])),
                  min_size=1, max_size=8))
@@ -96,6 +94,29 @@ def test_matches_np_percentile(data, qs):
         got = sorted_quantiles(np.sort(data), np.true_divide(qs, 100))
         expected = np.percentile(data, qs)
     assert_numpy_result(got, expected, data)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=samples(long_sizes=(SAMPLE_CAP // 2, SAMPLE_CAP)),
+       probs=probabilities(), cuts=st.lists(st.floats(0.0, 1.0), max_size=6),
+       single=st.booleans())
+def test_histogram_quantiles_match_all_publishes(data, probs, cuts, single):
+    """Split at most ``SAMPLE_CAP`` values into publishes anywhere (a
+    one-value publish through ``observe`` or ``observe_many``): the
+    histogram reports ``np.quantile`` of their concatenation."""
+    edges = sorted({int(c * data.size) for c in cuts} | {0, data.size})
+    h = Histogram("h")
+    with np.errstate(invalid="ignore", over="ignore"):
+        for lo, hi in zip(edges, edges[1:]):
+            if hi - lo == 1 and single:
+                h.observe(float(data[lo]))
+            else:
+                h.observe_many(data[lo:hi])
+        quantiles = h.quantiles(probs)
+        expected = np.quantile(data, probs)
+    got = [quantiles[p] for p in probs]
+    assert h.count == data.size <= SAMPLE_CAP
+    assert_numpy_result(np.array(got), expected, data)
 
 
 def test_known_corners():

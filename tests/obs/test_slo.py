@@ -4,7 +4,6 @@ import math
 
 import pytest
 
-from repro.obs.metrics import Histogram
 from repro.obs.slo import DEFAULT_AVAILABILITY, SLO
 
 
@@ -83,18 +82,3 @@ class TestAsDict:
         # unenforced target stays None
         assert d["slo_availability_target"] is None
 
-
-class TestEvaluateHistogram:
-    def test_streaming_p99_path(self):
-        h = Histogram("lat")
-        h.observe_many([float(i) for i in range(1, 101)])
-        report = SLO(p99_ms=150.0, availability=0.99).evaluate_histogram(
-            h, availability=1.0)
-        assert report.p99_observed_ms == pytest.approx(
-            h.quantile(0.99))
-        assert report.attained
-
-    def test_empty_histogram_misses(self):
-        report = SLO(p99_ms=10.0).evaluate_histogram(Histogram("lat"))
-        assert math.isnan(report.p99_observed_ms)
-        assert report.p99_attained is False

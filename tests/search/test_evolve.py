@@ -1,6 +1,7 @@
 """Tests for the vectorized Algorithm 1 (repro.search.evolve)."""
 
 import dataclasses
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from repro.search import (
     initial_population,
 )
 from repro.search import evolve as evolve_module
-from repro.models.specs import resnet18_spec
+from repro.models.specs import resnet18_spec, resnet50_spec
 
 
 @pytest.fixture(scope="module")
@@ -124,6 +125,72 @@ class TestInitialPopulation:
         population = initial_population(grid, 64, rng)
         assert (population >= 0).all()
         assert (population < m.num_options[None, :]).all()
+
+
+def initial_population_loop(grid, population_size, rng):
+    """The per-layer loop ``initial_population`` replaced, kept as the
+    reference its masked argmin and option-index table must match."""
+    matrices = grid.matrices()
+    counts = matrices.num_options
+    L = matrices.num_layers
+    smallest = np.array([int(np.argmin(matrices.crossbars[li, :counts[li]]))
+                         for li in range(L)], dtype=np.int64)
+    if population_size == 1:
+        return smallest[None, :]
+    all_candidates = sorted({cand for opts in matrices.options
+                             for cand in opts if cand is not None})
+    seeds = []
+    for cand in all_candidates[:max(0, population_size - 2)]:
+        genome = smallest.copy()
+        for li, opts in enumerate(matrices.options):
+            if cand in opts:
+                genome[li] = opts.index(cand)
+        seeds.append(genome)
+    n_random = max(0, population_size - 1 - len(seeds))
+    rows = []
+    if n_random:
+        rows.append(rng.integers(0, counts, size=(n_random, L),
+                                 dtype=np.int64))
+    if seeds:
+        rows.append(np.stack(seeds))
+    rows.append(smallest[None, :])
+    return np.concatenate(rows, axis=0)
+
+
+class TestInitialPopulationMatchesLoop:
+    @pytest.fixture(scope="class", params=["resnet18", "resnet50"])
+    def any_grid(self, request, grid):
+        if request.param == "resnet18":
+            return grid
+        return build_candidate_grid(resnet50_spec(), weight_bits=9,
+                                    activation_bits=9)
+
+    @pytest.mark.parametrize("size", [1, 2, 3, 64])
+    def test_same_population_and_draws(self, any_grid, size):
+        for seed in range(25):
+            rng, ref_rng = (np.random.default_rng(seed) for _ in range(2))
+            population = initial_population(any_grid, size, rng)
+            expected = initial_population_loop(any_grid, size, ref_rng)
+            assert population.dtype == expected.dtype == np.int64
+            assert np.array_equal(population, expected)
+            assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    def test_ties_and_padding_match_loop(self, grid):
+        """Rows whose smallest crossbar count is tied anchor on the first
+        such option, as each row's ``np.argmin`` does, and the zero
+        padding past a layer's options never wins."""
+        m = grid.matrices()
+        in_range = np.arange(m.crossbars.shape[1]) < m.num_options[:, None]
+        crossbars = np.where(
+            in_range, np.random.default_rng(0).integers(1, 3, in_range.shape),
+            0)
+        tied_matrices = dataclasses.replace(m, crossbars=crossbars)
+        tied = SimpleNamespace(matrices=lambda: tied_matrices)
+        for size in (1, 2, 3, 64):
+            population = initial_population(tied, size,
+                                            np.random.default_rng(1))
+            assert np.array_equal(population, initial_population_loop(
+                tied, size, np.random.default_rng(1)))
 
 
 class TestRestartPropagation:

@@ -1,20 +1,23 @@
-"""Digests of the metrics a serve run exports, P² quantiles included.
+"""Digests of the metrics a serve run exports, histogram quantiles
+included.
 
 The summary goldens pin ``summary()``, and the scalar-telemetry digests
 pin the Prometheus text of small scalar runs.  Neither pins the JSONL
-export, the only artifact that carries the histograms' streaming (P²)
-quantiles, min and max.  This module pins
+export, the only artifact that carries the histograms' quantiles (read
+off each histogram's sorted sample), min and max.  This module pins
 ``metrics_jsonl(registry) + prometheus_text(registry)`` by sha256 for:
 
 - one 2,000-request ``serve`` of each built-in scenario, on the scalar
   and on the vectorized engine;
 - one 12,000-request diurnal replay, whose latency and queue-depth
-  histograms observe more values than ``P2_SAMPLE_CAP`` in one call
-  (the strided P² sample);
+  histograms observe more values than ``SAMPLE_CAP`` in one call (the
+  first publish's stride sample);
 - one armed run: a flash-crowd trace with a chip kill, the resilience
   runtime and a brownout plan;
 - one ``ab_offered_load_sweep`` of two fleets into one registry, so
-  every histogram after the first replay takes the P² merge path.
+  every histogram after the first replay merges into a non-empty
+  sample, and the queue-depth histogram passes ``SAMPLE_CAP`` across
+  publishes (the stride grows and the sample is thinned).
 
 Refresh with ``pytest --update-goldens`` only for an intentional change.
 """
@@ -28,7 +31,7 @@ import pytest
 from repro.core.designer import build_deployments, uniform_assignment
 from repro.models.specs import resnet18_spec
 from repro.obs import metrics_jsonl, prometheus_text, use_metrics
-from repro.obs.metrics import P2_SAMPLE_CAP, MetricsRegistry
+from repro.obs.metrics import SAMPLE_CAP, MetricsRegistry
 from repro.pim.simulator import simulate_network
 from repro.serve.deploy import ab_offered_load_sweep
 from repro.serve.engine import ServingConfig, ServingEngine
@@ -74,9 +77,9 @@ def scenario_cells(report):
                                                     seed=SEED)
     registry = MetricsRegistry()
     engine.serve(trace, metrics=registry, engine="vectorized")
-    # The cell exists to pin the strided P² sample.
-    assert registry.get("serve.engine.latency_ms").count > P2_SAMPLE_CAP
-    assert registry.get("serve.engine.queue_depth").count > P2_SAMPLE_CAP
+    # The cell exists to pin the first publish's stride sample.
+    assert registry.get("serve.engine.latency_ms").count > SAMPLE_CAP
+    assert registry.get("serve.engine.queue_depth").count > SAMPLE_CAP
     yield "diurnal-12k-vectorized", export_digest(registry)
 
 
@@ -100,6 +103,7 @@ def sweep_cell(report):
     # Two loads x two fleets, all published into one registry.
     assert len(rows) == 4
     assert registry.get("serve.engine.latency_ms").count == 8000
+    assert registry.get("serve.engine.queue_depth").count > SAMPLE_CAP
     return "ab-sweep-two-fleets", export_digest(registry)
 
 
