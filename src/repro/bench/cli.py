@@ -52,6 +52,9 @@ def _load_run_file(path) -> BenchRun:
         return load_run(path)
     except (FileNotFoundError, json.JSONDecodeError, ValueError) as exc:
         raise _InputError(f"cannot load run {path}: {exc}") from exc
+    except RecursionError:
+        raise _InputError(f"cannot load run {path}: JSON nesting too deep"
+                          ) from None
 
 
 def _validate_selection(args) -> None:

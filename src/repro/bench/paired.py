@@ -31,6 +31,8 @@ from dataclasses import dataclass
 from time import perf_counter
 from typing import Any, Callable, Dict, Iterable, Optional
 
+from ..obs.gcpause import gc_paused
+
 __all__ = ["MIN_BLOCKS", "PairedTiming", "collector_paused", "gate",
            "interval_rank", "paired"]
 
@@ -42,13 +44,8 @@ def collector_paused():
     """Collect, keep the cyclic collector off, then restore its prior
     state: a collection would charge one sample for others' garbage."""
     gc.collect()
-    was_enabled = gc.isenabled()
-    gc.disable()
-    try:
+    with gc_paused():
         yield
-    finally:
-        if was_enabled:
-            gc.enable()
 
 
 def interval_rank(n: int) -> int:

@@ -147,7 +147,10 @@ def write_manifest(manifest: Dict, path: Union[str, Path]) -> None:
 
 def load_manifest(path: Union[str, Path]) -> Dict:
     """Read a manifest (either format) back from JSON."""
-    return json.loads(Path(path).read_text())
+    try:
+        return json.loads(Path(path).read_text())
+    except RecursionError:
+        raise ValueError(f"{path}: JSON nesting too deep") from None
 
 
 # ----------------------------------------------------------------------

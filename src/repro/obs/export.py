@@ -27,6 +27,7 @@ import re
 from pathlib import Path
 from typing import Dict, List, Tuple, Union
 
+from .gcpause import gc_paused
 from .metrics import Counter, Gauge, Histogram, MetricsRegistry
 
 __all__ = [
@@ -65,6 +66,7 @@ def _format_le(bound: float) -> str:
     return "+Inf" if math.isinf(bound) else repr(float(bound))
 
 
+@gc_paused()
 def prometheus_text(registry: MetricsRegistry) -> str:
     """The whole registry in Prometheus text exposition format."""
     lines: List[str] = []

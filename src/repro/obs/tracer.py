@@ -39,6 +39,8 @@ from operator import itemgetter, mod, mul, sub
 from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Sequence, Union
 
+from .gcpause import gc_paused
+
 __all__ = ["Span", "Tracer", "NullTracer"]
 
 # Export order: start, then end, then name; the sort is stable, so spans
@@ -156,11 +158,21 @@ class Tracer:
                 for name, category, start_ms, end_ms, track, args
                 in self._events]
 
+    @gc_paused()
     def _flush_sources(self) -> None:
-        """Materialize every pending lazy source into the event list."""
+        """Materialize every pending lazy source into the event list.
+
+        A source leaves the queue only once it has returned: one that
+        raises adds no events and is called again by the next flush.
+        """
         while self._sources:
-            source = self._sources.pop(0)
-            self._events.extend(source())
+            mark = len(self._events)
+            try:
+                self._events.extend(self._sources[0]())
+            except BaseException:
+                del self._events[mark:]
+                raise
+            del self._sources[0]
 
     # ---- recording ----------------------------------------------------
     def record(self, name: str, category: str, start_ms: float,
@@ -254,6 +266,7 @@ class Tracer:
         """
         return json.loads("".join(self._chrome_chunks()))
 
+    @gc_paused()
     def write_chrome_trace(self, path: Union[str, Path]) -> Path:
         return _write_streamed(path, self._chrome_chunks())
 
@@ -265,6 +278,7 @@ class Tracer:
                              (names, categories, tracks, starts, ends, dur),
                              args, "\n") + "\n"
 
+    @gc_paused()
     def write_jsonl(self, path: Union[str, Path]) -> Path:
         """One span per line, start-time ordered."""
         return _write_streamed(path, self._jsonl_chunks())

@@ -31,10 +31,12 @@ from __future__ import annotations
 import json
 import math
 import re
+from collections.abc import Hashable
 from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Tuple, Union
 
 from .export import PrometheusParseError, parse_prometheus_text
+from .gcpause import gc_paused
 
 __all__ = [
     "validate_chrome_trace",
@@ -104,18 +106,29 @@ def validate_chrome_trace(payload) -> List[str]:
             continue
         timed += 1
         track = (event.get("pid", 0), event.get("tid", 0))
-        previous = last_ts.get(track)
-        if previous is not None and ts_value < previous:
-            problems.append(
-                f"event[{i}]: ts {ts} goes backwards on track pid/tid "
-                f"{track} (previous {previous})")
-        last_ts[track] = ts_value
+        try:
+            previous = last_ts.get(track)
+        except TypeError:       # a list or object names no track
+            problems.extend(
+                f"event[{i}]: {key!r} must be a number or string, "
+                f"got {value!r}"
+                for key, value in zip(("pid", "tid"), track)
+                if not isinstance(value, Hashable))
+            track = None
+        else:
+            if previous is not None and ts_value < previous:
+                problems.append(
+                    f"event[{i}]: ts {ts} goes backwards on track pid/tid "
+                    f"{track} (previous {previous})")
+            last_ts[track] = ts_value
         if phase == "X":
             dur = event.get("dur")
             if not (type(dur) is float and dur >= 0.0) \
                     and _non_negative(dur) is None:
                 problems.append(f"event[{i}]: X event needs a non-negative "
                                 f"'dur', got {dur!r}")
+        elif track is None:
+            continue
         elif phase == "B":
             open_stacks.setdefault(track, []).append(
                 str(event.get("name", "")))
@@ -274,9 +287,13 @@ def _resilience_consistency(families: Dict) -> List[str]:
 
 def iter_jsonl(text: str) -> Iterator[Tuple[int, object]]:
     """``(lineno, value)`` for each line ``str.strip`` leaves non-empty:
-    its JSON value, or the :class:`json.JSONDecodeError` ``json.loads``
-    raises for it.  Lines end at ``"\\n"`` only (a trailing ``"\\r"`` is
-    tolerated): a U+2028 inside a JSON string is content."""
+    its JSON value, or a :class:`json.JSONDecodeError` with the message
+    and position of the one ``json.loads`` raises for it (``nesting too
+    deep`` past the decoder's recursion limit).  The error is built
+    afresh: the raised one's traceback and context reach this
+    generator's frame, which would hold it in a reference cycle.  Lines
+    end at ``"\\n"`` only (a trailing ``"\\r"`` is tolerated): a U+2028
+    inside a JSON string is content."""
     for lineno, line in enumerate(text.split("\n"), start=1):
         start = _BLANK(line).end()
         if start == len(line):
@@ -284,7 +301,7 @@ def iter_jsonl(text: str) -> Iterator[Tuple[int, object]]:
         try:
             value, end = _RAW_DECODE(line, start)
             whole = _BLANK(line, end).end() == len(line)
-        except json.JSONDecodeError:
+        except (json.JSONDecodeError, RecursionError):
             whole = False
         if not whole:
             if not line.strip():
@@ -292,7 +309,9 @@ def iter_jsonl(text: str) -> Iterator[Tuple[int, object]]:
             try:
                 value = json.loads(line)
             except json.JSONDecodeError as exc:
-                value = exc
+                value = json.JSONDecodeError(exc.msg, line, exc.pos)
+            except RecursionError:
+                value = json.JSONDecodeError("nesting too deep", line, start)
         yield lineno, value
 
 
@@ -320,8 +339,9 @@ def _sniff(path: Path, text: str) -> Tuple[str, object]:
     if text.lstrip().startswith(("{", "[")):
         try:
             return ("chrome-trace", json.loads(text))
-        except json.JSONDecodeError:
-            # Many JSON objects on separate lines: JSONL.
+        except (json.JSONDecodeError, RecursionError):
+            # Many JSON objects on separate lines, or one nested too
+            # deep to parse: read it line by line as JSONL.
             return ("jsonl", None)
     return ("prometheus", None)
 
@@ -332,6 +352,7 @@ def sniff_format(path: Path, text: str) -> str:
     return _sniff(path, text)[0]
 
 
+@gc_paused()
 def validate_file(path: Union[str, Path]) -> Tuple[str, List[str]]:
     """Validate one artifact; returns ``(format, problems)``."""
     path = Path(path)

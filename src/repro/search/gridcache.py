@@ -122,7 +122,7 @@ class GridCache:
         try:
             with open(self._path(signature), "r", encoding="utf-8") as fh:
                 payload = json.load(fh)
-        except (OSError, ValueError):
+        except (OSError, ValueError, RecursionError):
             return {}
         if not isinstance(payload, dict) \
                 or payload.get("format") != GRID_CACHE_FILE_FORMAT \

@@ -224,6 +224,9 @@ def load_search_result(source: Union[str, Path, Mapping]
         except json.JSONDecodeError as exc:
             raise SearchResultError(
                 f"{context} is not valid JSON: {exc}") from None
+        except RecursionError:
+            raise SearchResultError(
+                f"{context} is not valid JSON: nesting too deep") from None
     else:
         payload = source
     if not isinstance(payload, Mapping):

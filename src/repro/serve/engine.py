@@ -29,6 +29,7 @@ from ..core.designer import EpitomeAssignment, uniform_assignment
 from ..core.export import deployments_from_manifest
 from ..models.specs import NetworkSpec, get_network_spec
 from ..obs.catalog import publish
+from ..obs.gcpause import gc_paused
 from ..obs.metrics import MetricsRegistry
 from ..obs.runtime import get_metrics, get_tracer
 from ..obs.tracer import Tracer
@@ -352,6 +353,7 @@ class ServingEngine:
     # The event-dispatch loop: no per-event tracing/metrics (the
     # obs.overhead benchmark gates enabled-mode overhead <5%) and no
     # per-iteration allocator calls — enforced by the H-rules.
+    @gc_paused()
     # reprolint: hot-loop
     def serve(self, requests: Union[Sequence[Request], TraceArrays],
               tracer: Optional[Tracer] = None,

@@ -30,6 +30,8 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from ..obs.gcpause import gc_paused
+
 __all__ = ["Request", "REPLAY_ORDER", "TraceArrays", "check_arrivals",
            "replay_ordered", "arrays_from_requests", "synthetic_trace",
            "synthetic_trace_arrays", "save_trace", "load_trace"]
@@ -136,6 +138,7 @@ class TraceArrays:
     def __len__(self) -> int:
         return int(self.arrival_ms.shape[0])
 
+    @gc_paused()
     def materialize(self) -> List[Request]:
         """Expand the columns into the equivalent ``Request`` list.
 
@@ -257,7 +260,10 @@ def load_trace(path: Union[str, Path]) -> List[Request]:
     than being coerced: two requests sharing an id would share one
     retry-once slot on failover.
     """
-    payload = json.loads(Path(path).read_text())
+    try:
+        payload = json.loads(Path(path).read_text())
+    except RecursionError:
+        raise ValueError(f"{path}: JSON nesting too deep") from None
     entries = payload.get("requests") if isinstance(payload, dict) else None
     if not isinstance(entries, list):
         raise ValueError(f"{path}: a trace is an object holding a "

@@ -114,6 +114,11 @@ def test_bench_compare_bad_inputs_exit_2(tmp_path, capsys):
                        str(malformed)]) == 2
     assert "error:" in capsys.readouterr().err
 
+    malformed.write_text("[" * 200_000)
+    assert repro_main(["bench", "compare", "--baseline",
+                       str(malformed)]) == 2
+    assert "JSON nesting too deep" in capsys.readouterr().err
+
 
 def _slower_behind_nan_calibration(run):
     run["calibration_ms"] = float("nan")

@@ -121,6 +121,27 @@ def test_collector_is_off_inside_the_pause_only():
     assert gc.isenabled()
 
 
+@pytest.mark.parametrize("enabled", [True, False])
+def test_pause_collects_fully_first_then_restores(enabled):
+    runs = []
+
+    def count(phase, info):
+        if phase == "start":
+            runs.append((info["generation"], gc.isenabled()))
+
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    gc.callbacks.append(count)
+    try:
+        with collector_paused():
+            assert runs == [(2, enabled)]
+            assert not gc.isenabled()
+        assert gc.isenabled() is enabled
+    finally:
+        gc.callbacks.remove(count)
+        (gc.enable if was else gc.disable)()
+
+
 def test_one_outlier_block_moves_neither_median_nor_upper_bound(clock):
     calls = []
 

@@ -33,6 +33,33 @@ class TestObsValidate:
         assert main(["obs", "validate", str(bad)]) == 1
         assert "INVALID" in capsys.readouterr().out
 
+    def test_bad_files_are_problems_not_tracebacks(self, artifacts,
+                                                   tmp_path, capsys):
+        """Each file is validated even after one that used to crash."""
+        trace, metrics = artifacts
+        list_pid = tmp_path / "pid.json"
+        list_pid.write_text(json.dumps({"traceEvents": [
+            {"ph": "X", "ts": 1.0, "dur": 1.0, "pid": [1], "tid": 0,
+             "name": "a"}]}))
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 200_000)
+        deep_lines = tmp_path / "deep.jsonl"
+        deep_lines.write_text('{"a": 1}\n' + "[" * 200_000 + "\n")
+        assert main(["obs", "validate", str(list_pid), str(deep),
+                     str(deep_lines), str(trace), str(metrics)]) == 1
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.err
+        assert captured.out.splitlines() == [
+            f"{list_pid}: INVALID (chrome-trace)",
+            "  - event[0]: 'pid' must be a number or string, got [1]",
+            f"{deep}: INVALID (jsonl)",
+            "  - line 1: not valid JSON (nesting too deep)",
+            f"{deep_lines}: INVALID (jsonl)",
+            "  - line 2: not valid JSON (nesting too deep)",
+            f"{trace}: ok (chrome-trace)",
+            f"{metrics}: ok (prometheus)",
+        ]
+
 
 class TestObsSummarize:
     def test_prometheus_table(self, artifacts, capsys):
@@ -65,6 +92,14 @@ class TestObsSummarize:
         out = capsys.readouterr().out
         assert "ok (jsonl)" in out
         assert "odd\u2028name" in out and "counter" in out
+
+    def test_nesting_too_deep_exits_2(self, tmp_path, capsys):
+        metrics = tmp_path / "m.jsonl"
+        metrics.write_text("[" * 200_000)
+        assert main(["obs", "summarize", str(metrics)]) == 2
+        err = capsys.readouterr().err
+        assert err == (f"error: {metrics} failed validation (jsonl): "
+                       "line 1: not valid JSON (nesting too deep)\n")
 
     def test_trace_file_is_rejected(self, artifacts, capsys):
         trace, _ = artifacts

@@ -163,6 +163,40 @@ class TestRecording:
         assert t.spans[0].name == "late"
         assert calls == [1]           # evaluated exactly once
 
+    def test_a_source_that_raises_stays_queued(self, tmp_path):
+        t = Tracer()
+        t.record("early", "c", 0.0, 1.0)
+        calls = []
+
+        def flaky():
+            calls.append(1)
+            if len(calls) == 1:
+                raise RuntimeError("telemetry not ready")
+            return [("late", "lazy", 1.0, 2.0, "main", None)]
+
+        t.add_source(flaky)
+        path = tmp_path / "s.jsonl"
+        with pytest.raises(RuntimeError, match="not ready"):
+            t.write_jsonl(path)
+        assert not path.exists()
+        lines = t.write_jsonl(path).read_text().splitlines()
+        assert [json.loads(line)["name"] for line in lines] \
+            == ["early", "late"]
+        assert calls == [1, 1] and len(t) == 2
+
+    def test_a_source_that_raises_midway_adds_nothing(self):
+        t = Tracer()
+
+        def partial():
+            yield ("a", "c", 0.0, 1.0, "main", None)
+            raise RuntimeError("cut")
+
+        t.add_source(partial)
+        t.add_source(lambda: [("b", "c", 0.0, 1.0, "main", None)])
+        with pytest.raises(RuntimeError, match="cut"):
+            len(t)
+        assert t._events == [] and len(t._sources) == 2
+
 
 class TestNullTracer:
     def test_everything_is_a_noop(self):

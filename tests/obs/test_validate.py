@@ -32,6 +32,9 @@ def reference_validate_jsonl(text):
             json.loads(line)
         except json.JSONDecodeError as exc:
             problems.append(f"line {lineno}: not valid JSON ({exc.msg})")
+        except RecursionError:
+            problems.append(f"line {lineno}: not valid JSON (nesting too "
+                            "deep)")
     if seen == 0:
         problems.append("no JSON lines found")
     return problems
@@ -73,17 +76,25 @@ def reference_validate_chrome_trace(payload):
             continue
         timed += 1
         track = (event.get("pid", 0), event.get("tid", 0))
-        previous = last_ts.get(track)
-        if previous is not None and ts_value < previous:
-            problems.append(
-                f"event[{i}]: ts {ts} goes backwards on track pid/tid "
-                f"{track} (previous {previous})")
-        last_ts[track] = ts_value
+        unhashable = [(key, value) for key, value in zip(("pid", "tid"), track)
+                      if isinstance(value, (list, dict))]
+        for key, value in unhashable:
+            problems.append(f"event[{i}]: {key!r} must be a number or "
+                            f"string, got {value!r}")
+        if not unhashable:
+            previous = last_ts.get(track)
+            if previous is not None and ts_value < previous:
+                problems.append(
+                    f"event[{i}]: ts {ts} goes backwards on track pid/tid "
+                    f"{track} (previous {previous})")
+            last_ts[track] = ts_value
         if phase == "X":
             dur = event.get("dur")
             if _non_negative(dur) is None:
                 problems.append(f"event[{i}]: X event needs a non-negative "
                                 f"'dur', got {dur!r}")
+        elif unhashable:
+            continue
         elif phase == "B":
             open_stacks.setdefault(track, []).append(
                 str(event.get("name", "")))
@@ -105,13 +116,15 @@ def reference_validate_chrome_trace(payload):
 
 # JSONL fragments: a value split across lines, two values on one line,
 # blank lines by str.strip but not by JSON, a BOM, U+2028 inside and
-# outside a string, non-finite numbers, trailing blanks and garbage.
+# outside a string, non-finite numbers, trailing blanks and garbage,
+# nesting past the decoder's recursion limit.
 _JSONL_FRAGMENTS = [
     '{"a": 1}', '{"b": [1, {"c": null}]}', "1, 2", "[3", "4]", '"split',
     'string"', '{"s": "x', 'y"}', "\ufeff{}", " \ufeff{}", "\x0c", "\x0c{}",
     '{"u": "x\u2028y"}', "\u2028", "\u2028{}", "\x85", " ", "\t", "",
     "not json", "NaN", "-Infinity", "1e400", "{} x", "{}\t \r", "  7  ",
     "nul", "1.", "-", '{"k": 1}}', "[[[", "]]]", '"\\u00e9"', "true false",
+    "[" * 5000, '{"a": ' * 5000,
 ]
 _LINE_ENDS = ["\n", "\n", "\r\n", "\n\n", " \n", "\r"]
 
@@ -122,6 +135,10 @@ _CHROME_VALUES = [0.0, 1.5, 2.0, -0.0, -1.0, 3, 0, -3, True, False,
                   -(10 ** 400), "1", None, [1.0]]
 _PHASES = ["X", "X", "X", "B", "E", "M", "i", "C", "Q", "", None, ["X"],
            {"ph": "X"}]
+# Odd track ids, most of them the unhashable kinds JSON can hold.  One
+# event in ten draws one; the rest keep to two tracks (no pid, tid 0 or
+# 1), so that ts order and B/E nesting are compared often.
+_ODD_TRACK_IDS = ["p", None, 2, [1], [], {"id": 0}, {}]
 
 
 def _random_jsonl(rng):
@@ -142,6 +159,8 @@ def _random_chrome_events(rng):
                             ("name", ["a", "b"])):
             if rng.random() < 0.9:
                 event[key] = rng.choice(values)
+        if rng.random() < 0.1:
+            event[rng.choice(["pid", "tid"])] = rng.choice(_ODD_TRACK_IDS)
         events.append(event)
     return events
 
@@ -198,6 +217,19 @@ class TestChromeTrace:
         assert problems[0].startswith(
             "event[0]: X event needs a non-negative 'dur', got 1000")
 
+    def test_unhashable_pid_or_tid_is_a_problem_of_its_event(self):
+        problems = validate_chrome_trace({"traceEvents": [
+            {"ph": "X", "ts": 1.0, "dur": 1.0, "pid": [1], "tid": 0,
+             "name": "a"},
+            {"ph": "B", "ts": 0.0, "pid": 0, "tid": {"t": 1}, "name": "b"},
+            {"ph": "X", "ts": 0.5, "dur": -1.0, "name": "c"},
+        ]})
+        assert problems == [
+            "event[0]: 'pid' must be a number or string, got [1]",
+            "event[1]: 'tid' must be a number or string, got {'t': 1}",
+            "event[2]: X event needs a non-negative 'dur', got -1.0",
+        ]
+
     def test_problem_strings_unchanged(self):
         """The exact wording other tools grep for."""
         problems = validate_chrome_trace([
@@ -232,10 +264,18 @@ class TestChromeTraceMatchesReference:
     N_CASES = 600
 
     def test_random_event_lists(self):
+        kinds = ("goes backwards", "unclosed B", "no open B",
+                 "must be a number or string")
+        cases_with = dict.fromkeys(kinds, 0)
         for seed in range(self.N_CASES):
             events = _random_chrome_events(random.Random(seed))
-            assert validate_chrome_trace(events) \
-                == reference_validate_chrome_trace(events), f"case {seed}"
+            problems = validate_chrome_trace(events)
+            assert problems == reference_validate_chrome_trace(events), \
+                f"case {seed}"
+            for kind in kinds:
+                cases_with[kind] += any(kind in p for p in problems)
+        # The track checks must run often enough to be compared.
+        assert min(cases_with.values()) >= 20, cases_with
 
     def test_parsed_tracer_output(self, tmp_path):
         t = Tracer()
@@ -360,6 +400,20 @@ class TestJsonl:
             assert validate_jsonl(text) == reference_validate_jsonl(text), \
                 f"case {seed}: {text!r}"
 
+    def test_nesting_past_the_recursion_limit_is_a_line_problem(self):
+        text = '{}\n' + "[" * 200_000 + '\n[1]\n'
+        assert validate_jsonl(text) \
+            == ["line 2: not valid JSON (nesting too deep)"]
+
+    def test_errors_hold_no_frames(self):
+        rows = list(iter_jsonl('bad\n{"b": [}\n' + "[" * 5000))
+        assert [str(value) for _, value in rows] == [
+            "Expecting value: line 1 column 1 (char 0)",
+            "Expecting value: line 1 column 8 (char 7)",
+            "nesting too deep: line 1 column 1 (char 0)"]
+        assert all(value.__traceback__ is None and value.__context__ is None
+                   for _, value in rows)
+
     def test_values_and_line_numbers(self):
         rows = list(iter_jsonl('{"a": 1}\n\n \u2028\n[2]\r\nbad\n{"b": 3}'))
         assert [lineno for lineno, _ in rows] == [1, 4, 5, 6]
@@ -386,6 +440,13 @@ class TestSniffAndFile:
         trace.write_text(json.dumps(_trace_payload()))
         kind, problems = validate_file(trace)
         assert (kind, problems) == ("chrome-trace", [])
+
+    @pytest.mark.parametrize("name", ["t.json", "s.jsonl"])
+    def test_deep_json_is_a_problem_not_a_crash(self, tmp_path, name):
+        path = tmp_path / name
+        path.write_text("[" * 200_000)
+        assert validate_file(path) \
+            == ("jsonl", ["line 1: not valid JSON (nesting too deep)"])
 
     def test_validate_file_unreadable(self, tmp_path):
         kind, problems = validate_file(tmp_path / "missing.json")

@@ -194,6 +194,10 @@ class TestCacheStore:
         assert_grids_identical(
             rebuilt, build_candidate_grid_serial(spec, **BUILD_KWARGS))
 
+    def test_nesting_too_deep_is_a_miss(self, tmp_path):
+        (tmp_path / "deadbeef.json").write_text("[" * 200_000)
+        assert GridCache(tmp_path).load("deadbeef") == {}
+
     def test_foreign_format_is_a_miss(self, tmp_path):
         cache = GridCache(tmp_path)
         path = tmp_path / "deadbeef.json"

@@ -268,6 +268,20 @@ class TestScenarioFlags:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
 
+    @pytest.mark.parametrize("flag, message", [
+        ("--requests", "JSON nesting too deep"),
+        ("--manifest", "JSON nesting too deep"),
+        ("--from-search", "is not valid JSON: nesting too deep"),
+    ])
+    def test_json_nested_too_deep_exits_2(self, tmp_path, capsys, flag,
+                                          message):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 200_000)
+        assert main(["serve", flag, str(path), "--num-requests", "20"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert "Traceback" not in err
+
     def test_ab_accepts_scenario_and_faults(self, search_result, capsys):
         assert main(["serve", "--from-search", search_result,
                      "--policy", "latency-opt", "--ab-policy", "energy-opt",
