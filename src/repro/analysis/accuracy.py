@@ -289,7 +289,6 @@ class AccuracyWorkbench:
     def layerwise_opt_accuracy(self, objective: str = "latency",
                                budget_fraction: float = 0.8,
                                weight_bits: int = 9,
-                               grid_workers: int = 1,
                                grid_cache: Optional[GridCache] = None
                                ) -> Tuple[float, float]:
         """Search a layer-wise design on this model's own spec, train, QAT.
@@ -298,9 +297,9 @@ class AccuracyWorkbench:
         Algorithm 1 on the traced layer shapes (own candidate ladder scaled
         from the preset's uniform budget), train an epitome model with the
         found assignment from scratch, then QAT it at ``weight_bits``.
-        ``grid_workers`` / ``grid_cache`` shard and persist the candidate
-        grid's simulations (the traced spec's shapes dedup and cache just
-        like the full-size ones).
+        ``grid_cache`` persists the candidate grid's simulations (the
+        traced spec's shapes dedup and cache just like the full-size
+        ones).
 
         Returns ``(accuracy, crossbar_compression)``.
         """
@@ -315,7 +314,7 @@ class AccuracyWorkbench:
                       (max(rows // 2, 16), cols)]
         grid = build_candidate_grid(spec, candidates, weight_bits=weight_bits,
                                     activation_bits=9, use_wrapping=True,
-                                    workers=grid_workers, cache=grid_cache)
+                                    cache=grid_cache)
         base = simulate_network([baseline_deployment(l, weight_bits=None)
                                  for l in spec])
         # Budget: a fraction of the uniform design's crossbar demand.

@@ -285,7 +285,6 @@ def run_search(model_name: str = "resnet50",
                uniform_rows: int = 1024, uniform_cols: int = 256,
                config: HardwareConfig = DEFAULT_CONFIG,
                lut: ComponentLUT = DEFAULT_LUT,
-               grid_workers: Optional[int] = None,
                grid_cache: Optional[GridCache] = None,
                verbose: bool = True) -> SearchRunResult:
     """Run the section 5.2 design-space search end to end and render it.
@@ -296,20 +295,17 @@ def run_search(model_name: str = "resnet50",
     latency x energy x crossbars front; scalar objectives render the
     single best design next to the no-epitome baseline.
 
-    ``grid_workers`` (default: ``search.workers``) shards candidate-grid
-    construction across processes; ``grid_cache`` serves and stores
-    per-(signature, candidate) simulation results on disk so repeat
-    sweeps — the "re-search after a hardware-config tweak" loop — skip
-    grid construction almost entirely.
+    The candidate grid is built in this process; ``search.workers``
+    fans out only the search's restarts.  ``grid_cache`` serves and
+    stores per-(signature, candidate) simulation results on disk so
+    repeat sweeps — the "re-search after a hardware-config tweak" loop —
+    skip grid construction almost entirely.
     """
     spec = get_network_spec(model_name)
     grid = build_candidate_grid(spec, weight_bits=weight_bits,
                                 activation_bits=activation_bits,
                                 use_wrapping=use_wrapping,
-                                config=config, lut=lut,
-                                workers=(grid_workers if grid_workers
-                                         is not None else search.workers),
-                                cache=grid_cache)
+                                config=config, lut=lut, cache=grid_cache)
     baseline = evaluate_assignment(grid, [None] * len(spec), lut)
     if budget is None:
         budget = uniform_budget(grid, uniform_rows, uniform_cols,
@@ -378,7 +374,6 @@ def run_search_then_serve(model_name: str = "resnet18",
                           seed: int = 0,
                           config: HardwareConfig = DEFAULT_CONFIG,
                           lut: ComponentLUT = DEFAULT_LUT,
-                          grid_workers: Optional[int] = None,
                           grid_cache: Optional[GridCache] = None,
                           verbose: bool = True) -> SearchThenServeResult:
     """Search a model's design space, then A/B the chosen operating points
@@ -405,8 +400,8 @@ def run_search_then_serve(model_name: str = "resnet18",
 
     outcome = run_search(model_name, objective="pareto", budget=budget,
                          budget_fraction=budget_fraction, search=search,
-                         config=config, lut=lut, grid_workers=grid_workers,
-                         grid_cache=grid_cache, verbose=False)
+                         config=config, lut=lut, grid_cache=grid_cache,
+                         verbose=False)
     loaded = load_search_result(search_result_payload(outcome))
     engines = {}
     points = {}

@@ -150,16 +150,15 @@ def table1_hardware_rows(model_name: str = "resnet50",
                          lut: ComponentLUT = DEFAULT_LUT,
                          search: EvoSearchConfig = EvoSearchConfig(),
                          include_opt_rows: bool = True,
-                         grid_workers: int = 1,
                          grid_cache: Optional[GridCache] = None
                          ) -> List[HardwareRow]:
     """Regenerate the hardware columns of Table 1 for one model.
 
     Rows (matching the paper): FP32 baseline; EPIM FP32 uniform; PIM-Prune
     (CR only); EPIM W9A9 uniform; latency-/energy-optimized layer-wise
-    designs at W9A9; EPIM W7/W5/W3mp/W3 at A9.  ``grid_workers`` /
-    ``grid_cache`` shard and persist the "-Opt" rows' candidate-grid
-    construction (see :func:`repro.search.build_candidate_grid`).
+    designs at W9A9; EPIM W7/W5/W3mp/W3 at A9.  ``grid_cache`` persists
+    the "-Opt" rows' candidate-grid simulations (see
+    :func:`repro.search.build_candidate_grid`).
     """
     spec = get_network_spec(model_name)
     model = spec.name
@@ -193,8 +192,7 @@ def table1_hardware_rows(model_name: str = "resnet50",
     if include_opt_rows:
         grid = build_candidate_grid(spec, weight_bits=9, activation_bits=9,
                                     use_wrapping=True, config=config,
-                                    lut=lut, workers=grid_workers,
-                                    cache=grid_cache)
+                                    lut=lut, cache=grid_cache)
         budget = uniform_budget(grid, uniform_rows, uniform_cols,
                                 opt_budget_fraction, lut)
         for objective, tag in (("latency", "Latency-Opt"),
@@ -317,7 +315,6 @@ def figure4_series(model_name: str = "resnet50",
                    config: HardwareConfig = DEFAULT_CONFIG,
                    lut: ComponentLUT = DEFAULT_LUT,
                    search: EvoSearchConfig = EvoSearchConfig(),
-                   grid_workers: int = 1,
                    grid_cache: Optional[GridCache] = None
                    ) -> List[Figure4Point]:
     """Regenerate Fig. 4: uniform vs wrapping vs evo-search vs EPIM-Opt.
@@ -336,13 +333,11 @@ def figure4_series(model_name: str = "resnet50",
     grid_plain = build_candidate_grid(spec, weight_bits=weight_bits,
                                       activation_bits=activation_bits,
                                       use_wrapping=False, config=config,
-                                      lut=lut, workers=grid_workers,
-                                      cache=grid_cache)
+                                      lut=lut, cache=grid_cache)
     grid_wrap = build_candidate_grid(spec, weight_bits=weight_bits,
                                      activation_bits=activation_bits,
                                      use_wrapping=True, config=config,
-                                     lut=lut, workers=grid_workers,
-                                     cache=grid_cache)
+                                     lut=lut, cache=grid_cache)
 
     points: List[Figure4Point] = []
     for rows, cols in ladder:

@@ -16,9 +16,9 @@ Registered benchmarks:
 - ``search.grid_build`` — cold candidate-grid construction through the
   retained serial reference (every (layer, candidate) pair simulated
   from scratch), the baseline the fast paths are measured against;
-- ``search.grid_build_dedup`` — the shape-signature-deduped +
-  process-sharded pipeline at ``workers=4`` (no disk cache), i.e. what
-  ``build_candidate_grid`` actually does on a cold start;
+- ``search.grid_build_dedup`` — the shape-signature-deduped in-process
+  build (no disk cache), i.e. what ``build_candidate_grid`` actually
+  does on a cold start;
 - ``search.grid_build_warm`` — a rebuild against a fully warm
   persistent grid cache (zero simulations), the "re-search after a
   hardware-config tweak" path.
@@ -113,14 +113,13 @@ def grid_build_cold_factory(fast: bool) -> Workload:
 
 
 @benchmark("search.grid_build_dedup", suite="search",
-           description="shape-signature dedup + process sharding "
-                       "(workers=4, no disk cache)",
+           description="shape-signature dedup, in-process "
+                       "(no disk cache)",
            warmup=0, repeats=3, min_sample_ms=0.0)
 def grid_build_dedup_factory(fast: bool) -> Workload:
     model = "resnet18" if fast else "resnet50"
     return _grid_workload(
-        lambda spec: build_candidate_grid(spec, workers=4, **GRID_KWARGS),
-        model)
+        lambda spec: build_candidate_grid(spec, **GRID_KWARGS), model)
 
 
 @benchmark("search.grid_build_warm", suite="search",

@@ -94,11 +94,6 @@ _TABLE = {
         ("shed", "counter", "requests rejected by the bounded queue"),
         ("batches_formed", "counter", "micro-batches released"),
     ),
-    "serve.cache": (
-        ("hits", "counter", "deployment-cache key hits"),
-        ("misses", "counter", "deployment-cache compiles"),
-        ("evictions", "counter", "LRU evictions"),
-    ),
     "search.gridcache": (
         ("hits", "counter", "persistent grid-cache cell hits"),
         ("misses", "counter", "grid cells simulated fresh"),

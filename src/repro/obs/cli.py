@@ -89,10 +89,17 @@ def _rows_from_prometheus(text: str) -> List[dict]:
 
 
 def _rows_from_jsonl(text: str) -> List[dict]:
+    """Table rows, one per line; raises :class:`ValueError` naming the
+    first line that is not a JSON object."""
     rows = []
-    for _, payload in iter_jsonl(text):
+    for lineno, payload in iter_jsonl(text):
+        if not isinstance(payload, dict):
+            raise ValueError(f"line {lineno}: expected a JSON object, "
+                             f"got {type(payload).__name__}")
         if payload.get("type") == "histogram":
-            quantiles = payload.get("quantiles") or {}
+            quantiles = payload.get("quantiles")
+            if not isinstance(quantiles, dict):
+                quantiles = {}
             parts = [f"count={payload.get('count')}"]
             parts += [f"{k}={v:.4g}" for k, v in sorted(quantiles.items())
                       if isinstance(v, (int, float))]
@@ -119,8 +126,14 @@ def _cmd_summarize(raw: str) -> int:
               file=sys.stderr)
         return 2
     text = path.read_text()
-    rows = (_rows_from_jsonl(text) if kind == "jsonl"
-            else _rows_from_prometheus(text))
+    if kind == "jsonl":
+        try:
+            rows = _rows_from_jsonl(text)
+        except ValueError as exc:
+            print(f"error: {raw} {exc}", file=sys.stderr)
+            return 2
+    else:
+        rows = _rows_from_prometheus(text)
     table = Table(["metric", "type", "value"],
                   title=f"metrics: {path.name} ({kind})")
     for row in rows:

@@ -354,11 +354,13 @@ def sniff_format(path: Path, text: str) -> str:
 
 @gc_paused()
 def validate_file(path: Union[str, Path]) -> Tuple[str, List[str]]:
-    """Validate one artifact; returns ``(format, problems)``."""
+    """Validate one artifact; returns ``(format, problems)``.  A file
+    that cannot be opened or decoded is ``unreadable``, a problem like
+    any other."""
     path = Path(path)
     try:
         text = path.read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         return ("unreadable", [f"cannot read {path}: {exc}"])
     kind, payload = _sniff(path, text)
     if kind == "chrome-trace":

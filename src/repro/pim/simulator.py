@@ -59,6 +59,11 @@ class SimCounters:
     modelled, crossbar tiles allocated), not just seconds.  Counting is a
     handful of integer adds per layer — negligible next to the per-layer
     arithmetic — and monotone until :func:`reset_sim_counters`.
+
+    The counters are per process, and every simulation runs in the
+    calling process: the candidate-grid build is in-process, and the
+    search's pooled restarts only read an already-built grid.  So these
+    counts are the whole run's simulation work.
     """
 
     layers: int = 0
@@ -82,21 +87,6 @@ class SimCounters:
         self.activation_rounds = 0
         self.analog_mac_ops = 0
         self.crossbar_tiles = 0
-
-    def merge(self, delta: Dict[str, int]) -> None:
-        """Fold another process's counter delta into this one.
-
-        Worker processes (grid-build sharding, parallel restarts) measure
-        their own before/after deltas and ship them back so the parent's
-        counters keep reporting the *total* simulation work — bench
-        ``work`` fields would otherwise silently under-report whenever
-        ``workers > 1``.
-        """
-        self.layers += int(delta.get("layers", 0))
-        self.positions += int(delta.get("positions", 0))
-        self.activation_rounds += int(delta.get("activation_rounds", 0))
-        self.analog_mac_ops += int(delta.get("analog_mac_ops", 0))
-        self.crossbar_tiles += int(delta.get("crossbar_tiles", 0))
 
     def publish(self, registry=None) -> None:
         """Mirror the counters into a

@@ -12,8 +12,9 @@
   behind grid dedup and the persistent cache;
 - :mod:`repro.search.gridcache` — the on-disk (signature, candidate)
   grid cache (``~/.cache/repro/grids`` by default);
-- :mod:`repro.search.parallel` — the shared process-pool fan-out with
-  order-preserving merge and SimCounters repatriation;
+- :mod:`repro.search.parallel` — the process-pool fan-out of search
+  restarts, with an order-preserving merge (the grid is built
+  in-process);
 - :mod:`repro.search.cli` — the ``python -m repro search`` subcommand.
 """
 

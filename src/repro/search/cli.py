@@ -14,11 +14,12 @@ absolute number of crossbars instead.  ``--json`` writes the winning
 genome (and, in Pareto mode, the whole front) for downstream tooling —
 e.g. handing an assignment to ``repro serve``.
 
-Candidate-grid construction is deduped by layer-shape signature, shards
-across ``--workers`` processes, and persists per-(signature, candidate)
-simulation results under ``~/.cache/repro/grids`` (override with
-``--cache-dir`` or ``REPRO_GRID_CACHE_DIR``; disable with ``--no-cache``)
-so repeat sweeps start warm.  ``--json`` output records what the cache
+Candidate-grid construction is deduped by layer-shape signature, runs
+in-process (``--workers`` fans out only the search's restarts), and
+persists per-(signature, candidate) simulation results under
+``~/.cache/repro/grids`` (override with ``--cache-dir`` or
+``REPRO_GRID_CACHE_DIR``; disable with ``--no-cache``) so repeat sweeps
+start warm.  ``--json`` output records what the cache
 did (``grid_build_s``, ``grid_cache`` hits/misses, ``unique_signatures``).
 """
 
@@ -80,8 +81,8 @@ def add_search_parser(subparsers) -> argparse.ArgumentParser:
     p.add_argument("--patience", type=int, default=None,
                    help="early-stop after this many stagnant iterations")
     p.add_argument("--workers", type=int, default=1,
-                   help="processes for the restart fan-out and the "
-                        "candidate-grid build")
+                   help="processes for the restart fan-out (the "
+                        "candidate grid is built in-process)")
     p.add_argument("--cache-dir", default=None, metavar="DIR",
                    help="grid-cache directory (default: "
                         "$REPRO_GRID_CACHE_DIR or ~/.cache/repro/grids)")
@@ -210,7 +211,6 @@ def run_search_cli(args) -> int:
             weight_bits=args.weight_bits,
             activation_bits=args.activation_bits,
             use_wrapping=not args.no_wrapping,
-            grid_workers=args.workers,
             grid_cache=cache,
         )
     if args.metrics_out is not None:

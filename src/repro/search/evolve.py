@@ -286,9 +286,9 @@ def _run_restarts(grid: CandidateGrid, crossbar_budget: Optional[int],
 
     Uses the shared :func:`repro.search.parallel.parallel_map`, which
     preserves payload order (the reduction picks the same winner as a
-    serial run), merges worker :class:`SimCounters` back into the parent
-    (parallel restarts used to drop their work counters silently), and
-    falls back to serial execution when the platform refuses to fork.
+    serial run) and falls back to serial execution when the platform
+    refuses to fork.  A restart only reads the pre-built grid, so it
+    simulates nothing and its worker's counters have nothing to report.
     """
     payloads = [(grid, crossbar_budget, config, lut) for config in configs]
     return parallel_map(_restart_task, payloads, workers)

@@ -42,7 +42,6 @@ from ..pim.simulator import (
     simulate_layer,
 )
 from .gridcache import GridCache
-from .parallel import effective_workers, parallel_map
 from .signature import (
     BASELINE_KEY,
     grid_context_key,
@@ -159,21 +158,6 @@ class GridBuildStats:
     cache_hits: int = 0
     cache_misses: int = 0
     cache_enabled: bool = False
-    workers: int = 1
-
-    def as_dict(self) -> Dict[str, object]:
-        return {
-            "build_s": self.build_s,
-            "layers": self.layers,
-            "unique_signatures": self.unique_signatures,
-            "sim_tasks_total": self.sim_tasks_total,
-            "sim_tasks_unique": self.sim_tasks_unique,
-            "simulated": self.simulated,
-            "cache_hits": self.cache_hits,
-            "cache_misses": self.cache_misses,
-            "cache_enabled": self.cache_enabled,
-            "workers": self.workers,
-        }
 
 
 @dataclass
@@ -192,7 +176,7 @@ class CandidateGrid:
     def __post_init__(self):
         # Memoization slot for matrices(); a plain attribute (not a
         # dataclass field) so it stays out of equality, and dropped from
-        # pickles via __getstate__ so cached/shipped grids stay compact.
+        # pickles via __getstate__ so pickled grids stay compact.
         self._matrices: Optional[GridMatrices] = None
 
     def __getstate__(self):
@@ -214,31 +198,6 @@ class CandidateGrid:
         return self._matrices
 
 
-def _simulate_candidate(payload) -> Tuple[int, float, float]:
-    """Simulate one unique (layer shape, resolved epitome) pair.
-
-    Module-level and fed picklable payloads so grid-build sharding can run
-    it in worker processes; ``shape is None`` is the keep-conv baseline,
-    otherwise it is the designer-resolved ``(eo, ei, eh, ew)`` — resolved
-    once in the enumeration stage, so workers skip the designer and the
-    patch-schedule construction entirely (closed-form deployment).
-    Returns the grid cache cell.
-    """
-    (layer, shape, weight_bits, activation_bits, use_wrapping,
-     config, lut) = payload
-    if shape is None:
-        dep = baseline_deployment(layer, weight_bits=weight_bits,
-                                  activation_bits=activation_bits,
-                                  config=config)
-    else:
-        dep = epitome_deployment_from_shape(
-            layer, shape, weight_bits=weight_bits,
-            activation_bits=activation_bits,
-            use_wrapping=use_wrapping, config=config)
-    report = simulate_layer(dep, config, lut)
-    return (report.num_crossbars, report.latency_ns, report.energy_pj)
-
-
 def build_candidate_grid(spec: NetworkSpec,
                          candidates: Sequence[Candidate] = tuple(DEFAULT_CANDIDATES),
                          weight_bits: Optional[int] = None,
@@ -246,23 +205,20 @@ def build_candidate_grid(spec: NetworkSpec,
                          use_wrapping: bool = False,
                          config: HardwareConfig = DEFAULT_CONFIG,
                          lut: ComponentLUT = DEFAULT_LUT,
-                         workers: int = 1,
                          cache: Optional[GridCache] = None) -> CandidateGrid:
     """Enumerate valid candidates per layer and pre-simulate each one.
 
-    Three-stage fast path (bit-for-bit identical to
+    Two-stage fast path (bit-for-bit identical to
     :func:`build_candidate_grid_serial`, which tests pin):
 
     1. **shape-signature dedup** — layers are grouped by their
        simulation-relevant shape signature and candidates by the concrete
        epitome shape they resolve to, so each unique (signature, shape)
-       pair is simulated exactly once and fanned back out (ResNet-50:
-       407 serial simulations collapse to 115 unique ones);
-    2. **multiprocess sharding** — ``workers > 1`` distributes the unique
-       simulations across a process pool with an order-preserving merge
-       (and repatriates worker :class:`SimCounters`); single-core hosts
-       degrade to the serial path automatically;
-    3. **persistent cache** — ``cache`` serves previously simulated
+       pair is simulated exactly once, in this process, and fanned back
+       out (ResNet-50: 407 serial simulations collapse to 115 unique
+       ones).  The cost model is closed form, so the whole build takes
+       milliseconds and a process pool could only add start-up cost;
+    2. **persistent cache** — ``cache`` serves previously simulated
        (signature, candidate) cells from disk and stores new ones, so a
        warm rebuild simulates nothing and partial hits survive
        candidate-list or spec edits (see :mod:`repro.search.gridcache`).
@@ -316,7 +272,7 @@ def build_candidate_grid(spec: NetworkSpec,
         options_of[sig] = options
         keymap_of[sig] = keymap
 
-    # --- stage 3 (probe): partial hits from the persistent cache --------
+    # --- stage 2 (probe): partial hits from the persistent cache --------
     results: Dict[Tuple[str, str], Tuple[int, float, float]] = {}
     hits = misses = 0
     if cache is not None:
@@ -331,26 +287,31 @@ def build_candidate_grid(spec: NetworkSpec,
         cache.stats.hits += hits
         cache.stats.misses += misses
 
+    # --- simulate each remaining unique task, in this process ----------
+    # ``shape`` is None for the keep-conv baseline, else the resolved
+    # ``(eo, ei, eh, ew)``: the deployment is closed form, with no
+    # designer call and no patch schedule.
     todo = [task for task in tasks if task not in results]
+    for task in todo:
+        rep, shape = tasks[task]
+        if shape is None:
+            dep = baseline_deployment(rep, weight_bits=weight_bits,
+                                      activation_bits=activation_bits,
+                                      config=config)
+        else:
+            dep = epitome_deployment_from_shape(
+                rep, shape, weight_bits=weight_bits,
+                activation_bits=activation_bits,
+                use_wrapping=use_wrapping, config=config)
+        report = simulate_layer(dep, config, lut)
+        results[task] = (report.num_crossbars, report.latency_ns,
+                         report.energy_pj)
 
-    # --- stage 2: simulate the remaining unique tasks -------------------
-    payloads = [(tasks[task][0], tasks[task][1], weight_bits,
-                 activation_bits, use_wrapping, config, lut)
-                for task in todo]
-    # A handful of chunks per *effective* worker amortizes IPC without
-    # hurting balance (the pool itself caps at cpu_count and task count).
-    n_workers = effective_workers(workers, len(payloads))
-    chunksize = max(1, len(payloads) // (n_workers * 4))
-    fresh = parallel_map(_simulate_candidate, payloads, workers,
-                         chunksize=chunksize)
-    for task, cell in zip(todo, fresh):
-        results[task] = cell
-
-    # --- stage 3 (write-back): persist newly simulated cells ------------
+    # --- stage 2 (write-back): persist newly simulated cells ------------
     if cache is not None and todo:
         new_by_sig: Dict[str, Dict[str, Tuple[int, float, float]]] = {}
-        for (sig, key), cell in zip(todo, fresh):
-            new_by_sig.setdefault(sig, {})[key] = cell
+        for sig, key in todo:
+            new_by_sig.setdefault(sig, {})[key] = results[(sig, key)]
         for sig, entries in new_by_sig.items():
             cache.store(sig, entries)
 
@@ -377,7 +338,6 @@ def build_candidate_grid(spec: NetworkSpec,
         cache_hits=hits,
         cache_misses=misses,
         cache_enabled=cache is not None,
-        workers=workers,
     )
     publish(get_metrics(), "search.gridcache",
             {"hits": hits, "misses": misses, "simulated": len(todo)})
@@ -397,7 +357,7 @@ def build_candidate_grid_serial(spec: NetworkSpec,
     simulated from scratch in spec order.
 
     Kept permanently (like the scalar population evaluator) so the
-    deduped/parallel/cached pipeline's bit-for-bit equality stays a
+    deduped/cached pipeline's bit-for-bit equality stays a
     measured property — ``tests/search/test_gridcache.py`` compares the
     two paths exactly, and ``search.grid_build`` benchmarks this path as
     the cold baseline.

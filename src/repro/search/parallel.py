@@ -1,17 +1,16 @@
-"""Shared multiprocess fan-out for the search engine.
+"""Multiprocess fan-out for the search engine's restarts.
 
-One helper serves both process-parallel call sites — the evolve loop's
-restart fan-out and the candidate-grid build's simulation sharding — with
-two guarantees the callers rely on:
+One helper serves both restart call sites — the evolve loop's restarts
+and the Pareto mode's restarts.  Results come back in payload order
+regardless of which worker finished first, so the restart-winner and
+front-merge reductions are bit-for-bit identical to a serial run.
 
-- **order preservation**: results come back in payload order regardless
-  of which worker finished first, so downstream reductions (restart-winner
-  selection, grid assembly) are bit-for-bit identical to a serial run;
-- **counter repatriation**: each task's :class:`~repro.pim.simulator.
-  SimCounters` delta is measured inside the worker and merged back into
-  the parent's process-global counters, so benchmark ``work`` fields stay
-  truthful when the simulation work happens in child processes (they were
-  silently dropped before this helper existed).
+Restarts search a grid that is already built, so no simulation runs in
+a worker: the process-global :class:`~repro.pim.simulator.SimCounters`
+read the same after a pooled fan-out as after a serial one
+(``tests/search/test_parallel.py`` checks this).  The candidate-grid
+build itself always runs in-process; see
+:func:`repro.search.grid.build_candidate_grid`.
 
 Platforms that refuse to fork (sandboxes, restricted containers) degrade
 to serial execution with a warning — never a behaviour change.
@@ -23,8 +22,6 @@ import os
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from typing import Callable, List, Sequence
-
-from ..pim.simulator import sim_counters
 
 __all__ = ["ENV_FORCE_WORKERS", "effective_workers", "parallel_map"]
 
@@ -49,42 +46,19 @@ def effective_workers(requested: int, tasks: int) -> int:
     return max(1, min(requested, cap, tasks))
 
 
-def _counted_task(args):
-    """Run one task in a worker, returning (result, counter delta).
-
-    The before/after snapshot makes the delta correct under both fork
-    (children inherit the parent's non-zero counters) and spawn (children
-    start from zero) start methods, and under many tasks per worker.
-    """
-    task, payload = args
-    before = sim_counters().as_dict()
-    result = task(payload)
-    after = sim_counters().as_dict()
-    return result, {key: after[key] - before[key] for key in after}
-
-
-def parallel_map(task: Callable, payloads: Sequence, workers: int,
-                 chunksize: int = 1) -> List:
+def parallel_map(task: Callable, payloads: Sequence, workers: int) -> List:
     """Map ``task`` over ``payloads``, optionally across processes.
 
-    Results preserve payload order.  Worker simulation-counter deltas are
-    merged back into the parent.  Falls back to serial execution (and
-    plain in-process counting) when the pool cannot be created or
-    :func:`effective_workers` says parallelism cannot pay.
+    Results preserve payload order.  Falls back to serial execution when
+    the pool cannot be created or :func:`effective_workers` says
+    parallelism cannot pay.
     """
     n = effective_workers(workers, len(payloads))
     if n > 1:
         try:
             with ProcessPoolExecutor(max_workers=n) as pool:
-                pairs = list(pool.map(_counted_task,
-                                      [(task, payload) for payload in payloads],
-                                      chunksize=max(1, chunksize)))
+                return list(pool.map(task, payloads))
         except (OSError, PermissionError) as exc:
             warnings.warn(f"process pool unavailable ({exc}); running "
                           "tasks serially", stacklevel=3)
-        else:
-            counters = sim_counters()
-            for _, delta in pairs:
-                counters.merge(delta)
-            return [result for result, _ in pairs]
     return [task(payload) for payload in payloads]

@@ -9,8 +9,6 @@ endpoint that answers request traffic:
 - :mod:`repro.serve.sharding` — replica and layer-wise placement of a
   deployment across N chips, chosen for pipelined throughput under the
   per-chip tile budget;
-- :mod:`repro.serve.cache` — LRU cache of compiled deployments keyed by
-  (model spec, hardware config) fingerprints;
 - :mod:`repro.serve.engine` — the discrete-event serving loop;
 - :mod:`repro.serve.vectorized` — the whole-trace array replay engine
   (byte-identical summaries at web scale, docs/vectorized-replay.md);
@@ -28,13 +26,6 @@ endpoint that answers request traffic:
 - :mod:`repro.serve.cli` — ``python -m repro serve`` trace replay.
 """
 
-from .cache import (
-    DeploymentCache,
-    compile_deployment,
-    deployment_key,
-    hardware_fingerprint,
-    spec_fingerprint,
-)
 from .engine import ENGINES, ServingConfig, ServingEngine
 from .deploy import (
     AB_LOAD_FACTORS,
@@ -103,11 +94,6 @@ __all__ = [
     "plan_sharding",
     "partition_layers",
     "recommended_chips",
-    "DeploymentCache",
-    "compile_deployment",
-    "deployment_key",
-    "spec_fingerprint",
-    "hardware_fingerprint",
     "RequestRecord",
     "TelemetryCollector",
     "ServingConfig",

@@ -25,7 +25,11 @@ from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from ..core.designer import EpitomeAssignment, uniform_assignment
+from ..core.designer import (
+    EpitomeAssignment,
+    build_deployments,
+    uniform_assignment,
+)
 from ..core.export import deployments_from_manifest
 from ..models.specs import NetworkSpec, get_network_spec
 from ..obs.catalog import publish
@@ -36,7 +40,6 @@ from ..obs.tracer import Tracer
 from ..pim.config import DEFAULT_CONFIG, HardwareConfig
 from ..pim.lut import DEFAULT_LUT, ComponentLUT
 from ..pim.simulator import NetworkReport, simulate_network
-from .cache import DeploymentCache, compile_deployment
 from .resilience import BrownoutPlan, ResilienceConfig, ResilienceRuntime
 from .scenarios.faults import FaultPlan, ResolvedFault, parse_faults
 from .scheduler import Batch, MicroBatchScheduler, SchedulerConfig
@@ -302,27 +305,19 @@ class ServingEngine:
                   use_wrapping: bool = True,
                   epitome_rows: int = 1024, epitome_cols: int = 256,
                   hardware: HardwareConfig = DEFAULT_CONFIG,
-                  lut: ComponentLUT = DEFAULT_LUT,
-                  cache: Optional[DeploymentCache] = None) -> "ServingEngine":
-        """Compile a deployment from a network spec (designer path).
-
-        ``cache`` short-circuits repeated deploys of the same
-        (spec, hardware, options) key — the serving tier's warm pool.
+                  lut: ComponentLUT = DEFAULT_LUT) -> "ServingEngine":
+        """Compile a deployment from a network spec (designer path):
+        per-layer deployments, then the closed-form network simulation.
         """
         if isinstance(spec, str):
             spec = get_network_spec(spec)
         if assignment is None and epitome:
             assignment = uniform_assignment(spec, epitome_rows, epitome_cols)
-        if cache is not None:
-            report = cache.deploy(spec, assignment, weight_bits=weight_bits,
-                                  activation_bits=activation_bits,
-                                  use_wrapping=use_wrapping,
-                                  config=hardware, lut=lut)
-        else:
-            report = compile_deployment(
-                spec, assignment, weight_bits=weight_bits,
-                activation_bits=activation_bits,
-                use_wrapping=use_wrapping, config=hardware, lut=lut)
+        deployments = build_deployments(
+            spec, assignment, weight_bits=weight_bits,
+            activation_bits=activation_bits,
+            use_wrapping=use_wrapping, config=hardware)
+        report = simulate_network(deployments, hardware, lut)
         return cls(report, config, hardware, lut)
 
     @classmethod

@@ -60,6 +60,20 @@ class TestObsValidate:
             f"{metrics}: ok (prometheus)",
         ]
 
+    def test_undecodable_file_is_invalid_and_the_rest_validate(
+            self, artifacts, tmp_path, capsys):
+        _, metrics = artifacts
+        bom = tmp_path / "bom.json"
+        bom.write_bytes(b"\xff\xfe{}")
+        assert main(["obs", "validate", str(bom), str(metrics)]) == 1
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.err
+        lines = captured.out.splitlines()
+        assert lines[0] == f"{bom}: INVALID (unreadable)"
+        assert lines[1].startswith(f"  - cannot read {bom}: ")
+        assert lines[2:] == [f"{metrics}: ok (prometheus)"]
+        assert captured.err == "1 of 2 file(s) failed validation\n"
+
 
 class TestObsSummarize:
     def test_prometheus_table(self, artifacts, capsys):
@@ -100,6 +114,28 @@ class TestObsSummarize:
         err = capsys.readouterr().err
         assert err == (f"error: {metrics} failed validation (jsonl): "
                        "line 1: not valid JSON (nesting too deep)\n")
+
+    def test_non_object_line_exits_2(self, tmp_path, capsys):
+        """A line ``validate`` accepts as JSON but that is no metric
+        record is a user error, not a traceback."""
+        metrics = tmp_path / "m.jsonl"
+        metrics.write_text('{"name": "a", "type": "counter", "value": 1}\n'
+                           "[1]\n")
+        assert main(["obs", "validate", str(metrics)]) == 0
+        capsys.readouterr()
+        assert main(["obs", "summarize", str(metrics)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: {metrics} line 2: expected a JSON "
+                                "object, got list\n")
+
+    def test_histogram_without_quantile_object_renders(self, tmp_path,
+                                                        capsys):
+        metrics = tmp_path / "m.jsonl"
+        metrics.write_text(json.dumps({"name": "h", "type": "histogram",
+                                       "count": 2, "quantiles": [1]}) + "\n")
+        assert main(["obs", "summarize", str(metrics)]) == 0
+        assert "count=2" in capsys.readouterr().out
 
     def test_trace_file_is_rejected(self, artifacts, capsys):
         trace, _ = artifacts

@@ -26,7 +26,6 @@ from repro.search import (
     evolution_search,
     pareto_search,
 )
-from repro.serve.cache import DeploymentCache
 from repro.serve.engine import ServingConfig, ServingEngine
 from repro.serve.resilience import ResilienceConfig
 from repro.serve.scheduler import SchedulerConfig
@@ -57,12 +56,6 @@ def smoke():
         # family (controllers that never fire still publish zeros).
         engine.serve(trace, metrics=registry,
                      resilience=ResilienceConfig(seed=3))
-        # serve.cache.*: two misses into a capacity-1 cache forces an
-        # eviction; a repeat is a hit.
-        cache = DeploymentCache(capacity=1)
-        cache.get_or_build("a", dict)
-        cache.get_or_build("a", dict)
-        cache.get_or_build("b", dict)
         # search: grid build publishes search.gridcache.*, the two
         # searches publish search.evolve.* / search.pareto.* plus their
         # per-generation tracer spans.
@@ -123,15 +116,15 @@ def test_smoke_exercised_every_family(smoke):
     roots = {name.split(".", 2)[0] + "." + name.split(".", 2)[1]
              for name in registry.names()}
     assert {"serve.engine", "serve.scheduler", "serve.faults",
-            "serve.cache", "search.gridcache", "search.evolve",
+            "search.gridcache", "search.evolve",
             "search.pareto", "pim.simulator"} <= roots
 
 
 def test_help_and_type_lines_match_golden(smoke, update_goldens):
     """Every family's ``# HELP``/``# TYPE`` exposition lines, pinned:
     the scalar-telemetry digests cover only the four serve families
-    they replay, so this is what holds ``serve.cache``, ``search.*``
-    and ``pim.simulator.*`` headers still."""
+    they replay, so this is what holds ``search.*`` and
+    ``pim.simulator.*`` headers still."""
     registry, _ = smoke
     rendered = "".join(
         line + "\n" for line in prometheus_text(registry).splitlines()

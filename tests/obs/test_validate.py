@@ -452,3 +452,12 @@ class TestSniffAndFile:
         kind, problems = validate_file(tmp_path / "missing.json")
         assert kind == "unreadable"
         assert problems
+
+    def test_undecodable_file_is_unreadable(self, tmp_path):
+        path = tmp_path / "bom.json"
+        path.write_bytes(b"\xff\xfe{}")
+        kind, problems = validate_file(path)
+        assert kind == "unreadable"
+        assert len(problems) == 1
+        assert problems[0].startswith(f"cannot read {path}: ")
+        assert "can't decode byte 0xff" in problems[0]

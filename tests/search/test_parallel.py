@@ -1,35 +1,42 @@
-"""The shared process-pool fan-out (repro.search.parallel).
+"""The restart fan-out (repro.search.parallel).
 
-Pins the two guarantees its callers build on: order preservation and
-SimCounters repatriation from worker processes (bench ``work`` fields
-used to silently under-report when ``workers > 1``).
+Pins order preservation, which the restart reductions build on, and the
+premise that lets pooled restarts ship no work counters back: a restart
+only reads the pre-built grid, so it simulates nothing.
 """
 
-import numpy as np
+from dataclasses import replace
+
 import pytest
 
 from repro.models.specs import resnet18_spec
-from repro.pim.simulator import (
-    baseline_deployment,
-    reset_sim_counters,
-    sim_counters,
-    simulate_layer,
-)
+from repro.pim.lut import DEFAULT_LUT
+from repro.pim.simulator import SimCounters, sim_counters
+from repro.search import EvoSearchConfig, build_candidate_grid
+from repro.search.evolve import _restart_task, _run_restarts
 from repro.search.parallel import (
     ENV_FORCE_WORKERS,
     effective_workers,
     parallel_map,
 )
+from repro.search.pareto import _pareto_task, pareto_search
 
 
 def square(x):
     return x * x
 
 
-def simulate_one(layer):
-    report = simulate_layer(baseline_deployment(layer, weight_bits=9,
-                                                activation_bits=9))
-    return report.num_crossbars
+def counter_delta(args):
+    """Run ``task(payload)`` and return its :class:`SimCounters` delta,
+    measured in whichever process runs it."""
+    task, payload = args
+    before = sim_counters().as_dict()
+    task(payload)
+    after = sim_counters().as_dict()
+    return {key: after[key] - before[key] for key in after}
+
+
+NO_WORK = dict.fromkeys(SimCounters().as_dict(), 0)
 
 
 class TestEffectiveWorkers:
@@ -60,75 +67,54 @@ class TestParallelMap:
     def test_pool_preserves_order(self, monkeypatch):
         monkeypatch.setenv(ENV_FORCE_WORKERS, "1")
         payloads = list(range(40))
-        assert parallel_map(square, payloads, workers=2, chunksize=7) \
+        assert parallel_map(square, payloads, workers=2) \
             == [x * x for x in payloads]
 
     def test_empty_payloads(self):
         assert parallel_map(square, [], workers=4) == []
 
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_counters_merged_from_workers(self, monkeypatch, workers):
-        """The satellite contract: simulation work done in child
-        processes lands in the parent's counters, so serial and parallel
-        fan-outs report identical totals."""
-        monkeypatch.setenv(ENV_FORCE_WORKERS, "1")
-        layers = list(resnet18_spec())[:6]
-        reset_sim_counters()
-        results = parallel_map(simulate_one, layers, workers=workers)
-        counted = sim_counters().as_dict()
-        assert counted["layers"] == len(layers)
-        assert counted["crossbar_tiles"] == sum(results)
-        assert counted["activation_rounds"] > 0
 
-    def test_counter_merge_totals_match_serial(self, monkeypatch):
-        monkeypatch.setenv(ENV_FORCE_WORKERS, "1")
-        layers = list(resnet18_spec())[:8]
-        reset_sim_counters()
-        parallel_map(simulate_one, layers, workers=1)
-        serial_counts = sim_counters().as_dict()
-        reset_sim_counters()
-        parallel_map(simulate_one, layers, workers=3, chunksize=2)
-        assert sim_counters().as_dict() == serial_counts
+@pytest.fixture(scope="module")
+def grid():
+    return build_candidate_grid(resnet18_spec(), weight_bits=9,
+                                activation_bits=9)
 
 
-class TestSimCountersMerge:
-    def test_merge_adds_fields(self):
-        counters = reset_sim_counters()
-        counters.merge({"layers": 2, "positions": 10,
-                        "activation_rounds": 4, "analog_mac_ops": 7,
-                        "crossbar_tiles": 3})
-        counters.merge({"layers": 1})
-        assert counters.as_dict() == {
-            "layers": 3, "positions": 10, "activation_rounds": 4,
-            "analog_mac_ops": 7, "crossbar_tiles": 3}
-        counters.reset()
-
-    def test_merge_ignores_unknown_keys(self):
-        counters = reset_sim_counters()
-        counters.merge({"layers": 1, "not_a_counter": 99})
-        assert counters.layers == 1
-        counters.reset()
+CONFIGS = [EvoSearchConfig(population_size=8, iterations=2, restarts=1,
+                           seed=s) for s in (0, 1)]
 
 
 class TestEvolveFanOutCounters:
-    def test_restart_fanout_merges_worker_counters(self, monkeypatch):
-        """evolve's restart fan-out routes through parallel_map, so any
-        simulation a restart performs in a worker is repatriated."""
-        monkeypatch.setenv(ENV_FORCE_WORKERS, "1")
-        from repro.search.evolve import _run_restarts
-        from repro.search import EvoSearchConfig, build_candidate_grid
-        from repro.pim.lut import DEFAULT_LUT
+    """Forced-pool restarts, of both search modes, leave every
+    :class:`SimCounters` field unchanged: measured inside each worker
+    and in the parent."""
 
-        grid = build_candidate_grid(resnet18_spec(), weight_bits=9,
-                                    activation_bits=9)
-        configs = [EvoSearchConfig(population_size=8, iterations=2,
-                                   restarts=1, seed=s) for s in (0, 1)]
-        reset_sim_counters()
-        serial = _run_restarts(grid, None, configs, DEFAULT_LUT, workers=1)
-        serial_counts = sim_counters().as_dict()
-        reset_sim_counters()
-        parallel = _run_restarts(grid, None, configs, DEFAULT_LUT, workers=2)
-        assert sim_counters().as_dict() == serial_counts
+    def test_pooled_restarts_leave_counters_unchanged(self, monkeypatch,
+                                                      grid):
+        monkeypatch.setenv(ENV_FORCE_WORKERS, "1")
+        payloads = [(_restart_task, (grid, None, config, DEFAULT_LUT))
+                    for config in CONFIGS]
+        assert parallel_map(counter_delta, payloads, workers=2) \
+            == [NO_WORK] * len(CONFIGS)
+        before = sim_counters().as_dict()
+        serial = _run_restarts(grid, None, CONFIGS, DEFAULT_LUT, workers=1)
+        parallel = _run_restarts(grid, None, CONFIGS, DEFAULT_LUT, workers=2)
+        assert sim_counters().as_dict() == before
         assert [r.genome for r in serial] == [r.genome for r in parallel]
-        assert np.isclose(serial[0].eval.latency_ms,
-                          parallel[0].eval.latency_ms)
+        assert [r.eval for r in serial] == [r.eval for r in parallel]
+
+    def test_pooled_pareto_restarts_leave_counters_unchanged(
+            self, monkeypatch, grid):
+        monkeypatch.setenv(ENV_FORCE_WORKERS, "1")
+        payloads = [(_pareto_task, (grid, None, config, DEFAULT_LUT))
+                    for config in CONFIGS]
+        assert parallel_map(counter_delta, payloads, workers=2) \
+            == [NO_WORK] * len(CONFIGS)
+        search = EvoSearchConfig(population_size=8, iterations=2,
+                                 restarts=2, seed=0)
+        before = sim_counters().as_dict()
+        serial = pareto_search(grid, None, search)
+        parallel = pareto_search(grid, None, replace(search, workers=2))
+        assert sim_counters().as_dict() == before
+        assert [p.genome for p in serial.points] == \
+            [p.genome for p in parallel.points]

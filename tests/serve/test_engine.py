@@ -7,7 +7,6 @@ from repro.core.export import export_deployments, write_manifest
 from repro.models.specs import resnet18_spec
 from repro.pim.config import DEFAULT_CONFIG
 from repro.pim.simulator import simulate_network
-from repro.serve.cache import DeploymentCache
 from repro.serve.engine import ServingConfig, ServingEngine
 from repro.serve.scheduler import SchedulerConfig
 from repro.serve.trace import Request, synthetic_trace
@@ -46,13 +45,6 @@ class TestConstruction:
         engine = ServingEngine.from_manifest(path,
                                              ServingConfig(num_chips=2))
         assert engine.report.latency_ms == pytest.approx(report.latency_ms)
-
-    def test_from_spec_uses_cache(self):
-        cache = DeploymentCache(capacity=4)
-        ServingEngine.from_spec("resnet18", cache=cache)
-        ServingEngine.from_spec("resnet18", cache=cache)
-        assert cache.stats["hits"] == 1
-        assert cache.stats["misses"] == 1
 
     def test_describe_renders(self, report):
         text = make_engine(report).describe()
