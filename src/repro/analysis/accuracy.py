@@ -13,7 +13,7 @@ of retraining.
 Presets control cost:
 
 - ``smoke``   — seconds; used by the integration tests;
-- ``default`` — a few minutes; used by the benchmark harness;
+- ``default`` — a few minutes; the ``run_table*`` runners' default;
 - ``full``    — tens of minutes; the largest task and longest schedules.
 """
 

@@ -27,8 +27,10 @@ from typing import List, Optional
 
 from .accuracy import PRESETS
 from .experiments import run_figure3, run_figure4, run_table1, run_table2, run_table3
+from .hardware import figure3_layers
 from ..bench.cli import add_bench_parser, run_bench
 from ..lint.cli import add_lint_parser, run_lint_cli
+from ..models.specs import get_network_spec
 from ..obs.cli import add_obs_parser, run_obs
 from ..search.cli import add_search_parser, run_search_cli
 from ..serve.cli import add_serve_parser, run_serve
@@ -84,6 +86,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
+
+    if args.command in ("figure3", "summary"):
+        # Checked before anything prints: `summary` would otherwise print
+        # Table 1 and then fail on Figure 3.
+        try:
+            figure3_layers(get_network_spec(args.model))
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
 
     if args.command == "table1":
         run_table1(args.model, preset=PRESETS[args.preset],

@@ -1,9 +1,8 @@
 """Top-level experiment runners — one function per paper table/figure.
 
 Each runner returns structured data *and* prints a paper-style table via
-:mod:`repro.analysis.tables`, so the benchmark harness
-(``benchmarks/bench_table*.py`` / ``bench_figure*.py``) and the
-``python -m repro`` commands share one source of truth.
+:mod:`repro.analysis.tables`, so the tests and the ``python -m repro``
+commands share one source of truth.
 
 Hardware columns are exact (full-size ResNet-50/101 shapes); accuracy
 columns come from the synthetic-task workbench at a chosen preset (see

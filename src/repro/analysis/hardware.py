@@ -40,6 +40,7 @@ __all__ = [
     "figure4_series",
     "mixed_precision_bit_map",
     "FIGURE3_LAYERS",
+    "figure3_layers",
 ]
 
 # Paper Fig. 3 uses layers 9 / 41 / 67 of its (differently enumerated)
@@ -251,6 +252,21 @@ class Figure3Row:
         return self.epitome_energy_01mj - self.conv_energy_01mj
 
 
+def figure3_layers(spec: NetworkSpec,
+                   layers: Optional[Dict[int, str]] = None) -> Dict[int, str]:
+    """The Fig. 3 layer map (``layers`` or :data:`FIGURE3_LAYERS`) for
+    ``spec``; ValueError names the model and every layer it lacks."""
+    layer_map = layers if layers is not None else FIGURE3_LAYERS
+    names = {layer.name for layer in spec}
+    missing = [name for _, name in sorted(layer_map.items())
+               if name not in names]
+    if missing:
+        raise ValueError(
+            f"{spec.name} has no layer named "
+            f"{' or '.join(map(repr, missing))}, which figure 3 plots")
+    return layer_map
+
+
 def figure3_rows(model_name: str = "resnet50",
                  uniform_rows: int = 1024, uniform_cols: int = 256,
                  layers: Optional[Dict[int, str]] = None,
@@ -262,7 +278,7 @@ def figure3_rows(model_name: str = "resnet50",
     network-level quantity), reported in the paper's 0.1 mJ units.
     """
     spec = get_network_spec(model_name)
-    layer_map = layers if layers is not None else FIGURE3_LAYERS
+    layer_map = figure3_layers(spec, layers)
     uniform = uniform_assignment(spec, uniform_rows, uniform_cols)
 
     base_report = _simulate(spec, config=config, lut=lut)

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 from typing import List, Optional
@@ -161,8 +162,9 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    if args.tolerance < 0:
-        raise _InputError("--tolerance must be >= 0")
+    if not (math.isfinite(args.tolerance) and args.tolerance >= 0):
+        raise _InputError(f"--tolerance must be a finite number >= 0, "
+                          f"got {args.tolerance}")
     baseline = _load_run_file(args.baseline)
     if args.run is not None:
         run_path = Path(args.run)

@@ -22,6 +22,7 @@ Only ``regression`` fails the gate (:attr:`CompareReport.ok`).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import List, Optional
 
@@ -127,8 +128,9 @@ def _fmt(value: Optional[float], signed: bool = False) -> str:
 def compare_runs(baseline: BenchRun, current: BenchRun,
                  tolerance_pct: float = 25.0) -> CompareReport:
     """Diff ``current`` against ``baseline`` with a symmetric tolerance."""
-    if tolerance_pct < 0:
-        raise ValueError("tolerance_pct must be >= 0")
+    if not (math.isfinite(tolerance_pct) and tolerance_pct >= 0):
+        raise ValueError(f"tolerance_pct must be finite and >= 0, "
+                         f"got {tolerance_pct}")
     scale: Optional[float] = None
     if baseline.calibration_ms and current.calibration_ms:
         if baseline.calibration_ms <= 0 or current.calibration_ms <= 0:

@@ -25,7 +25,7 @@ import json
 import math
 import re
 from pathlib import Path
-from typing import Dict, List, Tuple, Union
+from typing import Dict, List, Union
 
 from .gcpause import gc_paused
 from .metrics import Counter, Gauge, Histogram, MetricsRegistry

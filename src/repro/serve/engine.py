@@ -23,8 +23,6 @@ import warnings
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple, Union
 
-import numpy as np
-
 from ..core.designer import (
     EpitomeAssignment,
     build_deployments,

@@ -11,7 +11,7 @@ profile grid is normalized to mean 1 before inversion (see
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 

@@ -1,8 +1,9 @@
 """Tests for the accuracy workbench plumbing (repro.analysis.accuracy).
 
-Training-heavy paths are exercised by the benchmark harness; these tests
-cover the cheap invariants: preset registry, dataset determinism, caching,
-quantization-grouping hardware config, and the scale-free HAWQ cost model.
+Training-heavy paths run in ``tests/analysis/test_experiments.py`` and
+``tests/test_integration.py``; these tests cover the cheap invariants:
+preset registry, dataset determinism, caching, quantization-grouping
+hardware config, and the scale-free HAWQ cost model.
 """
 
 import numpy as np

@@ -43,3 +43,18 @@ class TestExecution:
         out = capsys.readouterr().out
         assert "Table 1" in out
         assert "EPIM-ResNet50" in out
+
+    def test_figure3_rejects_a_model_without_its_layers(self, capsys):
+        """ResNet-18 has no 'layer3.2.conv2': exit 2, one error line."""
+        assert main(["figure3", "--model", "resnet18"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ResNet18 has no layer named "
+                                       "'layer3.2.conv2'")
+
+    def test_summary_rejects_it_before_printing_table1(self, capsys):
+        assert main(["summary", "--model", "resnet18"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ResNet18 has no layer named "
+                                       "'layer3.2.conv2'")

@@ -1,20 +1,30 @@
-"""Tests for the top-level experiment runners (hardware-only paths).
+"""Tests for the top-level experiment runners.
 
-Accuracy-bearing runners are exercised end-to-end by the benchmark harness;
-here we verify structure, rendering and the hardware-only code paths stay
-correct and fast.
+The hardware-only paths are checked for structure, rendering and speed.
+The accuracy-bearing drivers (Table 1 with accuracy, Tables 2 and 3) run
+once on a preset small enough for tier-1, which checks that they run and
+render, not how their accuracies rank.
 """
+
+from pathlib import Path
 
 import pytest
 
+from repro.analysis.accuracy import AccuracyPreset, AccuracyWorkbench
 from repro.analysis.experiments import (
     run_figure3,
     run_figure4,
     run_search,
     run_table1,
+    run_table2,
+    run_table3,
 )
 from repro.analysis.hardware import FIGURE4_UNIFORM_LADDER
 from repro.search import EvoSearchConfig
+
+from tests.helpers import check_json_golden
+
+GOLDEN_DIR = Path(__file__).resolve().parent.parent / "baselines" / "paper"
 
 
 class TestRunTable1HardwareOnly:
@@ -37,6 +47,49 @@ class TestRunTable1HardwareOnly:
 
     def test_hardware_rows_structured(self, result):
         assert len(result.hardware_rows) == 10
+
+
+class TestAccuracyDrivers:
+    def test_tables_render_on_a_tiny_preset(self):
+        """64 training and 32 validation 8x8 images, one epoch of each
+        phase.  That is too little training for accuracy ranks, so only
+        the range of each accuracy is checked; Table 3's compression rates
+        do not depend on training, so their order is."""
+        preset = AccuracyPreset(name="tiny", num_train=64, num_val=32,
+                                num_classes=10, image_size=8, epochs=1,
+                                qat_epochs=1, finetune_epochs=1)
+        bench = AccuracyWorkbench(preset)
+
+        # ResNet-18's hardware rows are the cheapest to build; ResNet-50's
+        # are pinned in test_hardware.py.
+        table1 = run_table1("resnet18", preset=preset, workbench=bench,
+                            verbose=False)
+        assert set(table1.accuracy) == {
+            "FP32 baseline", "EPIM FP32", "EPIM W9A9", "EPIM W7A9",
+            "EPIM W5A9", "EPIM W3mpA9", "EPIM W3A9", "PIM-Prune"}
+        for row in table1.hardware_rows:
+            assert row.model in table1.rendered
+
+        table2 = run_table2(preset=preset, workbench=bench, verbose=False)
+        assert len(table2.accuracies) == 6
+        assert len(table2.ptq_accuracies) == 3
+        assert "(3-5 bit, QAT)" in table2.rendered
+        assert "(3-bit, PTQ)" in table2.rendered
+
+        table3 = run_table3(preset=preset, workbench=bench, verbose=False)
+        rows = {row["Method"]: row for row in table3.rows}
+        assert list(rows) == ["Epitome", "Epitome + Pruning 50%",
+                              "PIM-Prune 50%", "PIM-Prune 75%"]
+        for method in rows:
+            assert method in table3.rendered
+        assert (rows["Epitome + Pruning 50%"]["Compress. Rate"]
+                > rows["Epitome"]["Compress. Rate"])
+
+        accuracies = [*table1.accuracy.values(),
+                      *table2.accuracies.values(),
+                      *table2.ptq_accuracies.values(),
+                      *(row["Accuracy(%)"] / 100 for row in rows.values())]
+        assert all(0.0 <= acc <= 1.0 for acc in accuracies)
 
 
 class TestRunFigure3:
@@ -86,13 +139,25 @@ class TestRunFigure4:
             assert set(point.metrics) == {"Uniform", "EPIM-CW",
                                           "EPIM-Evo", "EPIM-Opt"}
 
-    def test_default_ladder_tabulates_only_designs_within_budget(self):
+    def test_default_ladder_tabulates_only_designs_within_budget(
+            self, update_goldens):
         """Every numeric EPIM-Evo/EPIM-Opt cell of the default ladder is a
         design within its point's crossbar budget.  At (128, 32) the
-        budget is below every candidate design, so both cells are '-'."""
+        budget is below every candidate design, so both cells are '-'.
+        The points themselves are pinned by ``float.hex`` in
+        ``tests/baselines/paper/figure4-resnet50.json``."""
         result = run_figure4(verbose=False)
         points = result.points
         assert [p.uniform_shape for p in points] == FIGURE4_UNIFORM_LADDER
+        payload = [{"uniform_shape": list(point.uniform_shape),
+                    "target_crossbars": point.target_crossbars,
+                    "compression": point.compression.hex(),
+                    "metrics": {method: [value.hex() for value in values]
+                                for method, values in point.metrics.items()},
+                    "crossbars": point.crossbars}
+                   for point in points]
+        check_json_golden(GOLDEN_DIR / "figure4-resnet50.json", payload,
+                          update_goldens)
         blocks = result.rendered.split("\n\n")
         assert len(blocks) == 3
         for block in blocks:

@@ -82,6 +82,9 @@ class TestPimPruneNetwork:
     def test_75_percent(self):
         result = pim_prune_network(resnet50_spec(), 0.75)
         assert abs(result.param_compression - 3.38) < 0.3
+        # paper: 3.24 for ResNet-101
+        result = pim_prune_network(resnet101_spec(), 0.75)
+        assert abs(result.param_compression - 3.24) < 0.3
 
     def test_resnet101(self):
         result = pim_prune_network(resnet101_spec(), 0.5)

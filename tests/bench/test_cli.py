@@ -71,6 +71,21 @@ def test_bench_compare_accepts_run_directory(tmp_path):
                        "--run", str(run_dir)]) == 0
 
 
+@pytest.mark.parametrize("tolerance", ["nan", "inf", "-1"])
+def test_bench_compare_rejects_a_non_finite_or_negative_tolerance(
+        tmp_path, capsys, tolerance):
+    """Every comparison with NaN is false, so a NaN band would pass any
+    regression: the tolerance is checked before anything is compared."""
+    baseline = make_run_file(tmp_path, {"a.x": 10.0}, "baseline.json")
+    slow = make_run_file(tmp_path, {"a.x": 19.1}, "slow.json")
+    assert repro_main(["bench", "compare", "--baseline", str(baseline),
+                       "--run", str(slow), "--tolerance", tolerance]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(
+        "error: --tolerance must be a finite number >= 0")
+
+
 def test_bench_run_requires_known_suite(capsys):
     assert repro_main(["bench", "run", "--fast", "--suite", "nope",
                        "--no-write"]) == 2

@@ -123,3 +123,12 @@ def test_sha_provenance_and_bad_inputs():
     zero = run_with({"a.x": 0.0})
     with pytest.raises(ValueError, match="non-positive"):
         compare_runs(zero, current)
+
+
+@pytest.mark.parametrize("tolerance", [float("nan"), float("inf")])
+def test_non_finite_tolerance_rejected(tolerance):
+    """A NaN band would read every delta, +91% included, as in band."""
+    baseline = run_with({"a.x": 10.0})
+    with pytest.raises(ValueError, match="finite"):
+        compare_runs(baseline, run_with({"a.x": 19.1}),
+                     tolerance_pct=tolerance)

@@ -18,7 +18,7 @@ from tests.helpers import assert_grad_close, gradcheck, numerical_gradient  # no
 def pytest_addoption(parser):
     parser.addoption(
         "--update-goldens", action="store_true", default=False,
-        help="rewrite golden fixtures (tests/baselines/serve_summaries) "
+        help="rewrite golden fixtures (tests/baselines) "
              "instead of comparing against them")
 
 

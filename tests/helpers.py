@@ -1,4 +1,4 @@
-"""Importable test helpers (gradient checking, a time limit).
+"""Importable test helpers (gradient checking, a time limit, JSON goldens).
 
 Lives outside ``conftest.py`` so test modules can import it as a plain
 module (``from tests.helpers import gradcheck``) — relative imports from
@@ -7,6 +7,7 @@ conftest break pytest collection when the test tree is not a package.
 
 from __future__ import annotations
 
+import json
 import signal
 from contextlib import contextmanager
 
@@ -74,3 +75,19 @@ def deadline(seconds):
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0.0)
         signal.signal(signal.SIGALRM, previous)
+
+
+def check_json_golden(path, payload, update_goldens):
+    """Compare ``payload``, rendered as indented JSON, with the fixture at
+    ``path``; with ``update_goldens`` rewrite the fixture first.  Write
+    floats with ``float.hex`` so that no digit is lost."""
+    rendered = json.dumps(payload, indent=1) + "\n"
+    if update_goldens:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(rendered)
+    assert path.exists(), (
+        f"golden fixture {path.name} missing — run "
+        f"pytest --update-goldens to create it")
+    assert rendered == path.read_text(), (
+        f"output drifted from golden {path.name} — if the change "
+        f"is intentional, refresh with pytest --update-goldens")

@@ -114,7 +114,9 @@ class TestNonIdealities:
         np.testing.assert_array_equal(xbar.matmul(x, 4), x @ w)
 
     def test_ir_drop_reads_low(self, rng):
-        """IR drop only ever reduces measured (non-negative) column sums."""
+        """IR drop only ever reduces measured (non-negative) column sums,
+        and loses a smaller share of them when fewer word lines are
+        driven, as in an IFRT-gated epitome round."""
         w = rng.integers(0, 8, size=(64, 4))        # non-negative weights
         x = rng.integers(0, 64, size=(3, 64))
         ideal = CrossbarArray(DEFAULT_CONFIG)
@@ -125,6 +127,11 @@ class TestNonIdealities:
         low = dropped.matmul(x, 6)
         assert np.all(low <= exact)
         assert np.any(low < exact)
+        gated = np.arange(64) < 16
+        gated_exact = ideal.matmul(x, 6, row_mask=gated)
+        gated_low = dropped.matmul(x, 6, row_mask=gated)
+        assert ((gated_exact - gated_low).sum() / gated_exact.sum()
+                < (exact - low).sum() / exact.sum())
 
     def test_ir_drop_zero_is_exact(self, rng):
         w = rng.integers(-8, 8, size=(16, 4))

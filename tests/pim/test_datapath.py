@@ -122,12 +122,77 @@ class TestExactEquivalence:
         np.testing.assert_array_equal(got, expected)
 
     def test_noise_breaks_exactness_but_stays_close(self, rng):
+        """Conductance noise degrades gracefully: the error grows with the
+        noise, and at 10% noise the mean error stays under a fifth of the
+        largest output."""
         plan, epitome, x, a_bits, w_bits = make_case(rng)
         exact = execute_epitome_conv(x, epitome, plan, 1, 1, DEFAULT_CONFIG,
                                      a_bits, w_bits)
-        noisy = execute_epitome_conv(x, epitome, plan, 1, 1, DEFAULT_CONFIG,
-                                     a_bits, w_bits, noise_std=0.05,
-                                     rng=np.random.default_rng(0))
-        assert not np.array_equal(exact, noisy)
+
+        def noisy(noise_std):
+            return execute_epitome_conv(x, epitome, plan, 1, 1,
+                                        DEFAULT_CONFIG, a_bits, w_bits,
+                                        noise_std=noise_std,
+                                        rng=np.random.default_rng(0))
+
+        out = noisy(0.05)
+        assert not np.array_equal(exact, out)
         denom = np.maximum(np.abs(exact), 1)
-        assert np.median(np.abs(noisy - exact) / denom) < 0.3
+        assert np.median(np.abs(out - exact) / denom) < 0.3
+        errors = [np.abs(noisy(s) - exact).mean() for s in (0.01, 0.03, 0.1)]
+        assert errors == sorted(errors)
+        assert errors[-1] < 0.2 * np.abs(exact).max()
+
+    def test_saturating_adc_reads_low_and_stays_bounded(self, rng):
+        """The 8-bit ADC clips a column sum above 255.  A round of
+        ``make_case`` drives at most 72 word lines of 2-bit cells
+        (72 * 3 < 255), so it never clips.  A 144-line round of weights
+        12..15 (upper 2-bit slice 3) under inputs with the top bit set
+        sums to 432 in the last input cycle, so it clips, and
+        non-negative weights then only lose current."""
+        plan, epitome, x, a_bits, w_bits = make_case(rng)
+        exact = execute_epitome_conv(x, epitome, plan, 1, 1, DEFAULT_CONFIG,
+                                     a_bits, w_bits)
+        np.testing.assert_array_equal(
+            execute_epitome_conv(x, epitome, plan, 1, 1, DEFAULT_CONFIG,
+                                 a_bits, w_bits, ideal_adc=False), exact)
+
+        shape = EpitomeShape.from_rows_cols(256, 16, (3, 3), 64)
+        plan = build_plan((16, 64, 3, 3), shape)
+        epitome = rng.integers(12, 16, size=shape.as_tuple())
+        x = rng.integers(128, 256, size=(1, 64, 8, 8))
+        exact = execute_epitome_conv(x, epitome, plan, 1, 1, DEFAULT_CONFIG,
+                                     8, 5)
+        clipped = execute_epitome_conv(x, epitome, plan, 1, 1,
+                                       DEFAULT_CONFIG, 8, 5, ideal_adc=False)
+        assert np.all(clipped <= exact)
+        assert np.any(clipped < exact)
+        assert np.abs(clipped - exact).mean() < 0.5 * np.abs(exact).max()
+
+    def test_ir_drop_loses_less_on_smaller_rounds(self, rng):
+        """IR drop only lowers the outputs of non-negative weights, by a
+        share that grows with beta and with the column current: a 128-row
+        epitome (72 word lines per round) loses less than a 512-row one
+        (144 per round).  Beta 0 is exact."""
+        def lost_shares(rows, betas):
+            shape = EpitomeShape.from_rows_cols(rows, 16, (3, 3), 64)
+            plan = build_plan((16, 64, 3, 3), shape)
+            epitome = rng.integers(0, 8, size=shape.as_tuple())
+            x = rng.integers(0, 64, size=(1, 64, 8, 8))
+            exact = execute_epitome_conv(x, epitome, plan, 1, 1,
+                                         DEFAULT_CONFIG, 6, 4)
+            shares = []
+            for beta in betas:
+                dropped = execute_epitome_conv(x, epitome, plan, 1, 1,
+                                               DEFAULT_CONFIG, 6, 4,
+                                               ir_drop_beta=beta)
+                assert np.all(dropped <= exact)
+                shares.append((exact - dropped).sum() / exact.sum())
+            return shares
+
+        sweep = lost_shares(256, (0.0, 0.1, 0.3, 0.6))
+        assert sweep[0] == 0.0
+        assert all(a < b for a, b in zip(sweep, sweep[1:]))
+        [small] = lost_shares(128, (0.4,))
+        [large] = lost_shares(512, (0.4,))
+        assert small < large

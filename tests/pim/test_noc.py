@@ -64,10 +64,13 @@ class TestAnalyzeNoc:
         assert noc.total_values == expected
 
     def test_positive_costs(self, base_report):
+        """Positive, and second-order: moving feature maps costs a small
+        fraction of the compute energy, as MNSIM reports for CNNs."""
         noc = analyze_noc(base_report)
         assert noc.energy_mj > 0
         assert noc.latency_ms > 0
         assert noc.mean_hops > 0
+        assert noc.energy_mj < 0.25 * base_report.energy_mj
 
     def test_epitome_shrinks_mesh_and_energy(self, base_report, epim_report):
         """Fewer crossbars -> fewer tiles -> smaller mesh -> cheaper moves,

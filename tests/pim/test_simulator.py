@@ -2,9 +2,10 @@
 
 import pytest
 
+from repro.core.designer import build_deployments, uniform_assignment
 from repro.core.epitome import EpitomeShape, build_plan
 from repro.models.specs import LayerSpec, resnet50_spec
-from repro.pim.config import DEFAULT_CONFIG
+from repro.pim.config import DEFAULT_CONFIG, HardwareConfig
 from repro.pim.simulator import (
     baseline_deployment,
     epitome_deployment_from_plan,
@@ -26,6 +27,17 @@ def epitome_dep(spec, rows=1024, cols=256, w_bits=9, a_bits=9, wrap=False):
     return epitome_deployment_from_plan(spec, plan, weight_bits=w_bits,
                                         activation_bits=a_bits,
                                         use_wrapping=wrap)
+
+
+def resnet50_w9a9(config, epitome):
+    spec = resnet50_spec()
+    if epitome:
+        deps = build_deployments(spec, uniform_assignment(spec),
+                                 weight_bits=9, activation_bits=9,
+                                 use_wrapping=True, config=config)
+    else:
+        deps = [baseline_deployment(l, 9, 9, config=config) for l in spec]
+    return simulate_network(deps, config)
 
 
 class TestBaselineDeployment:
@@ -135,10 +147,26 @@ class TestSimulateNetwork:
             report.dynamic_energy_mj + report.static_energy_mj)
 
     def test_compression_vs(self):
+        """An epitome compresses one layer, and the uniform-epitome
+        ResNet-50 at W9A9 on 128/256/512-square arrays, where smaller
+        arrays fragment the baseline no more than larger ones.  Denser
+        cells need fewer column slices, so fewer crossbars."""
         spec = conv_spec()
         base = simulate_network([baseline_deployment(spec, 9, 9)])
         ep = simulate_network([epitome_dep(spec)])
         assert ep.compression_vs(base) > 1.0
+
+        utilization = {}
+        for size in (128, 256, 512):
+            config = HardwareConfig(xbar_rows=size, xbar_cols=size)
+            base = resnet50_w9a9(config, epitome=False)
+            assert resnet50_w9a9(config, epitome=True).compression_vs(base) > 1.0
+            utilization[size] = base.utilization
+        assert utilization[128] >= utilization[512]
+        crossbars = [resnet50_w9a9(HardwareConfig(cell_bits=bits),
+                                   epitome=True).num_crossbars
+                     for bits in (1, 2, 4)]
+        assert crossbars[0] >= crossbars[1] >= crossbars[2]
 
     def test_layer_by_name(self):
         spec = resnet50_spec()

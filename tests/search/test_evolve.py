@@ -227,11 +227,27 @@ class TestEvolutionSearch:
         assert a.history == b.history
 
     def test_respects_budget_and_feasible(self, grid, budget):
-        result = evolution_search(grid, budget,
-                                  EvoSearchConfig(population_size=24,
-                                                  iterations=10, seed=0))
+        """The winner fits the budget, and on its objective (latency) it
+        matches the best uniform design within budget and comes within 5%
+        of the best of as many random designs as one restart evaluates."""
+        config = EvoSearchConfig(population_size=24, iterations=10, seed=0)
+        result = evolution_search(grid, budget, config)
         assert result.feasible
         assert result.eval.crossbars <= budget
+
+        def best_latency(genomes):
+            evals = [evaluate_assignment(grid, genome) for genome in genomes]
+            return min(e.latency_ms for e in evals if e.crossbars <= budget)
+
+        options = [grid.candidates[layer.name] for layer in grid.spec]
+        uniform = [[cand if cand in opts else None for opts in options]
+                   for cand in ((2048, 512), (1024, 256), (512, 128),
+                                (256, 64))]
+        draw = np.random.default_rng(0)
+        random = [[opts[draw.integers(len(opts))] for opts in options]
+                  for _ in range(config.population_size * config.iterations)]
+        assert result.eval.latency_ms <= best_latency(uniform) * 1.001
+        assert result.eval.latency_ms <= best_latency(random) * 1.05
 
     def test_history_monotone_full_length(self, grid, budget):
         result = evolution_search(grid, budget,

@@ -12,7 +12,6 @@ Fixtures live under ``tests/baselines/search/``; refresh them with
 search.
 """
 
-import json
 from pathlib import Path
 
 import pytest
@@ -25,6 +24,8 @@ from repro.search import (
     pareto_search,
     uniform_budget,
 )
+
+from tests.helpers import check_json_golden
 
 GOLDEN_DIR = Path(__file__).resolve().parent.parent / "baselines" / "search"
 MODELS = ["resnet18", "resnet50"]
@@ -61,17 +62,7 @@ def _eval(result):
 
 
 def _check(name, payload, update_goldens):
-    path = GOLDEN_DIR / f"{name}.json"
-    rendered = json.dumps(payload, indent=1) + "\n"
-    if update_goldens:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(rendered)
-    assert path.exists(), (
-        f"golden fixture {path.name} missing — run "
-        f"pytest --update-goldens to create it")
-    assert rendered == path.read_text(), (
-        f"search output drifted from golden {path.name} — if the change "
-        f"is intentional, refresh with pytest --update-goldens")
+    check_json_golden(GOLDEN_DIR / f"{name}.json", payload, update_goldens)
 
 
 def _front_payload(model, seed, budget, front):
