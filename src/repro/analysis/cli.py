@@ -22,6 +22,7 @@ entirely for table1.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from typing import List, Optional
 
@@ -86,7 +87,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
+    try:
+        status = _run(args)
+        sys.stdout.flush()      # a closed pipe raises here, not at exit
+    except BrokenPipeError:
+        # The reader closed the pipe early (`repro figure3 | head -2`),
+        # which is no error. As Python's SIGPIPE note advises, point
+        # stdout at devnull so the flush at exit cannot raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    return status
 
+
+def _run(args: argparse.Namespace) -> int:
     if args.command in ("figure3", "summary"):
         # Checked before anything prints: `summary` would otherwise print
         # Table 1 and then fail on Figure 3.

@@ -26,7 +26,7 @@ from ..search import (
     evolution_search,
     uniform_budget,
 )
-from ..models.specs import NetworkSpec, get_network_spec
+from ..models.specs import LayerSpec, NetworkSpec, get_network_spec
 from ..pim.config import DEFAULT_CONFIG, HardwareConfig
 from ..pim.lut import DEFAULT_LUT, ComponentLUT
 from ..pim.simulator import NetworkReport, simulate_network
@@ -252,18 +252,38 @@ class Figure3Row:
         return self.epitome_energy_01mj - self.conv_energy_01mj
 
 
+def _conv_shape(layer: LayerSpec) -> str:
+    kh, kw = layer.kernel_size
+    return f"{kh}x{kw} {layer.in_channels}->{layer.out_channels} {layer.kind}"
+
+
 def figure3_layers(spec: NetworkSpec,
                    layers: Optional[Dict[int, str]] = None) -> Dict[int, str]:
     """The Fig. 3 layer map (``layers`` or :data:`FIGURE3_LAYERS`) for
-    ``spec``; ValueError names the model and every layer it lacks."""
+    ``spec``; ValueError names the model and every layer it lacks, and,
+    for the default map, every layer whose kernel or channels differ from
+    the ResNet-50 layer the map was chosen for."""
     layer_map = layers if layers is not None else FIGURE3_LAYERS
-    names = {layer.name for layer in spec}
+    by_name = {layer.name: layer for layer in spec}
     missing = [name for _, name in sorted(layer_map.items())
-               if name not in names]
+               if name not in by_name]
     if missing:
         raise ValueError(
             f"{spec.name} has no layer named "
             f"{' or '.join(map(repr, missing))}, which figure 3 plots")
+    if layers is None:
+        reference = get_network_spec("resnet50")
+        mismatched = []
+        for index, name in sorted(layer_map.items()):
+            shape = _conv_shape(by_name[name])
+            wanted = _conv_shape(reference.by_name(name))
+            if shape != wanted:
+                mismatched.append(
+                    f"{name} is a {shape} in {spec.name}, not the {wanted} "
+                    f"of {reference.name} that figure 3 plots as layer "
+                    f"{index}")
+        if mismatched:
+            raise ValueError("; ".join(mismatched))
     return layer_map
 
 

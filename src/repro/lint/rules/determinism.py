@@ -1,8 +1,9 @@
 """D-rules: determinism contracts.
 
 The serving/search/PIM stack promises same-seed byte-identical outputs
-(the CI scenario matrix replays every cell twice and diffs the summary
-JSON).  These rules reject the constructs that silently break that
+(``tools/test_cli_matrix.py`` replays every cell twice, each run in a
+fresh process, and compares the summary JSON and the artifacts byte for
+byte).  These rules reject the constructs that silently break that
 promise: process-global RNG streams, unseeded generators, wall-clock
 reads inside simulated-time subsystems, and iteration order borrowed
 from hash-randomized ``set``s.

@@ -305,14 +305,16 @@ def _build_engine(args, resilience=None) -> ServingEngine:
 def run_serve(args) -> int:
     try:
         return _run_serve(args)
-    except TimeoutError:
-        raise       # an OSError, but a stuck run is not a user error
+    except (TimeoutError, BrokenPipeError):
+        # OSErrors, but neither a stuck run nor a reader that closed the
+        # pipe is bad input; repro.analysis.cli.main handles the latter.
+        raise
     except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
 
-def _run_ab(args, fault_plan=None) -> int:
+def _run_ab(args, fault_plan=None, resilience=None) -> int:
     """A/B mode: two operating points of one search result, swept under
     identical offered load (see repro.serve.deploy.ab_offered_load_sweep)."""
     result = load_search_result(args.from_search)
@@ -346,7 +348,7 @@ def _run_ab(args, fault_plan=None) -> int:
                                      slo=slo,
                                      scenario=args.scenario,
                                      faults=fault_plan,
-                                     resilience=_resilience_config(args))
+                                     resilience=resilience)
     print(render_ab(rows, title=f"A/B {args.policy} vs {args.ab_policy} — "
                                 f"{result.model}"))
     _write_obs_artifacts(args, tracer, registry)
@@ -389,10 +391,12 @@ def _run_serve(args) -> int:
         raise ValueError("--scenario generates a synthetic trace and "
                          "--requests replays a recorded one; pass exactly "
                          "one workload source")
-    # Parse the fault spec before compiling anything — a typo should fail
-    # in milliseconds, not after a deployment build.
+    # Parse the fault spec and the resilience config before compiling
+    # anything — a typo should fail in milliseconds, not after a
+    # deployment build.
     fault_plan = (parse_faults(args.faults)
                   if args.faults is not None else None)
+    resilience = _resilience_config(args)
     if args.brownout_policy is not None:
         if args.from_search is None:
             raise ValueError("--brownout-policy selects a degraded point "
@@ -420,8 +424,8 @@ def _run_serve(args) -> int:
             raise ValueError("--export-manifest is ambiguous in A/B mode "
                              "(two operating points); export from a "
                              "single-fleet --from-search run")
-        return _run_ab(args, fault_plan=fault_plan)
-    engine = _build_engine(args, resilience=_resilience_config(args))
+        return _run_ab(args, fault_plan=fault_plan, resilience=resilience)
+    engine = _build_engine(args, resilience=resilience)
     print(engine.describe())
     print()
 

@@ -20,7 +20,7 @@ Four deterministic control loops threaded through the serve engine
   package importable from the engine without cycles).
 
 Everything is deterministic given :attr:`ResilienceConfig.seed`, so
-resilience-enabled runs keep the CI matrix's byte-identical contract.
+resilience-enabled runs keep the same-seed byte-identical contract.
 """
 
 from .admission import AdmissionController

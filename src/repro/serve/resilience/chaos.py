@@ -20,7 +20,8 @@ fleets, the on-fleet's availability floor, clean
 synthesis whenever the corresponding episodes occurred.  Everything —
 scenario choice, fault placement, trace arrivals, retry jitter — derives
 from the seed through ``SeedSequence``, so a chaos run is byte-identical
-on replay; CI soaks two seeds and diffs the JSON (chaos-soak job).
+on replay; ``tools/test_cli_matrix.py`` drills seeds 3 and 7 twice each
+through the CLI and compares the JSON bytes.
 
 The plan composer never kills the last live replica group: chaos probes
 degraded serving, not guaranteed total outages (those have their own
@@ -233,7 +234,7 @@ def run_chaos(seeds: Sequence[int],
 
     One row per seed with the plan and both fleets' outcomes; an empty
     problem list means every invariant held.  The harness never raises
-    on an invariant breach — the caller (CLI, tests, CI soak) decides
+    on an invariant breach — the caller (CLI, tests) decides
     what a non-empty problem list is worth.
     """
     fleets = build_chaos_fleets(payload, num_chips=num_chips)
@@ -312,7 +313,8 @@ def render_chaos(rows: Sequence[Dict],
 
 def chaos_json(rows: Sequence[Dict], problems: Sequence[str]) -> str:
     """The machine-readable chaos artifact (stable key order, so a
-    same-seed re-run is byte-identical — the CI soak diffs this)."""
+    same-seed re-run is byte-identical — ``tools/test_cli_matrix.py``
+    compares two runs' bytes)."""
     return json.dumps({"schema": "repro-chaos-result",
                        "schema_version": 1,
                        "rows": list(rows),

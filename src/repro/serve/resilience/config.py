@@ -11,11 +11,13 @@ plan instead of hard-coding a number.
 All policies are deterministic given :attr:`ResilienceConfig.seed`
 (retry jitter is the only randomized quantity, drawn from a
 ``SeedSequence``-derived generator) so a resilience-enabled run keeps
-the CI scenario matrix's same-seed byte-identical contract.
+the same-seed byte-identical contract ``tools/test_cli_matrix.py``
+checks through the CLI.
 """
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -203,3 +205,14 @@ class ResilienceConfig:
     breaker: BreakerPolicy = field(default_factory=BreakerPolicy)
     brownout: BrownoutPolicy = field(default_factory=BrownoutPolicy)
     seed: int = 0
+
+    def __post_init__(self):
+        # The seed reaches SeedSequence only when a retry jitter is drawn,
+        # so a bad one would otherwise fail mid-replay, or never. NumPy
+        # integers are stored as the Python ints they equal.
+        if (isinstance(self.seed, bool)
+                or not isinstance(self.seed, numbers.Integral)
+                or self.seed < 0):
+            raise ValueError(f"resilience seed must be a non-negative "
+                             f"integer, got {self.seed!r}")
+        object.__setattr__(self, "seed", int(self.seed))

@@ -20,7 +20,7 @@ Poisson process:
 Everything a scenario randomizes — arrival gaps, MMPP state dwells,
 multi-model tags — flows from that single seeded generator, so the same
 ``(scenario, n, rate, seed)`` tuple always produces an identical trace
-(the CI scenario matrix asserts this end to end).
+(``tools/test_cli_matrix.py`` asserts this end to end, through the CLI).
 """
 
 from __future__ import annotations

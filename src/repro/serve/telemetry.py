@@ -571,7 +571,7 @@ class TelemetryCollector:
         if self.resilience is not None:
             # Only resilience-armed runs carry these keys — plain runs'
             # summaries stay byte-identical to previous releases (the
-            # CI scenario matrix depends on that).
+            # serve-summary goldens pin them).
             for key, value in self.resilience.items():
                 out[f"resilience_{key}"] = value
         if slo is not None:

@@ -18,6 +18,7 @@ import pytest
 
 from repro.analysis.hardware import (
     FIGURE3_LAYERS,
+    figure3_layers,
     figure3_rows,
     figure4_series,
     mixed_precision_bit_map,
@@ -25,7 +26,7 @@ from repro.analysis.hardware import (
 )
 from repro.core.designer import uniform_assignment
 from repro.search import EvoSearchConfig
-from repro.models.specs import resnet50_spec
+from repro.models.specs import get_network_spec, resnet50_spec
 
 from tests.helpers import check_json_golden
 
@@ -146,6 +147,22 @@ class TestFigure3Shape:
         for row in rows:
             assert row.epitome_latency_ms > row.conv_latency_ms
             assert row.epitome_energy_01mj > row.conv_energy_01mj
+
+
+class TestFigure3Layers:
+    """The default map was chosen on ResNet-50: a model is refused unless
+    every mapped layer has the same kernel and channels there."""
+
+    @pytest.mark.parametrize("model", ["resnet50", "resnet101"])
+    def test_bottleneck_resnets_match(self, model):
+        assert figure3_layers(get_network_spec(model)) == FIGURE3_LAYERS
+
+    def test_resnet34_layer67_is_another_shape(self):
+        with pytest.raises(ValueError) as info:
+            figure3_layers(get_network_spec("resnet34"))
+        assert str(info.value) == (
+            "layer4.2.conv1 is a 3x3 512->512 conv in ResNet34, not the "
+            "1x1 2048->512 conv of ResNet50 that figure 3 plots as layer 67")
 
 
 class TestFigure4Shape:

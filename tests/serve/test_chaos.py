@@ -4,7 +4,8 @@ The harness's contract: every drill is a pure function of its seed
 (plan composition, trace, fault placement, retry jitter), the composed
 plan is always a valid ``parse_faults`` spec that never kills the last
 replica, and the JSON artifact is byte-identical on replay — the
-property the CI ``chaos-soak`` job diffs.
+property the chaos cells of ``tools/test_cli_matrix.py`` compare
+through the CLI.
 """
 
 import json

@@ -11,10 +11,11 @@ once.
 
 Coverage is three-pronged:
 
-- the scenario catalog x seeds {3, 7, 11} (the exact matrix the CI
-  ``engine-equivalence`` job replays through the CLI), against golden
-  summary fixtures under ``tests/baselines/serve_summaries/``
-  (refresh with ``pytest --update-goldens``);
+- the scenario catalog x seeds {3, 7, 11} (the exact matrix the engine
+  cells of ``tools/test_cli_matrix.py`` replay through the CLI),
+  against golden summary fixtures under
+  ``tests/baselines/serve_summaries/`` (refresh with
+  ``pytest --update-goldens``);
 - config edge cases the event loop is touchy about: zero batching
   window, batch size one, a shedding-depth queue, single- and
   four-chip fleets;
@@ -97,7 +98,8 @@ def assert_identical(scalar, vectorized):
 
 
 class TestCatalogMatrix:
-    """Scenario catalog x seeds {3, 7, 11}: the CI matrix, in-process."""
+    """Scenario catalog x seeds {3, 7, 11}: the CLI matrix's engine
+    cells, in-process."""
 
     @pytest.mark.parametrize("seed", SEEDS)
     @pytest.mark.parametrize("name", CATALOG)

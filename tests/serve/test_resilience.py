@@ -13,8 +13,10 @@ flash crowd with a mid-run chip kill.
 import json
 import math
 
+import numpy as np
 import pytest
 
+from repro.analysis.cli import main
 from repro.core.designer import build_deployments, uniform_assignment
 from repro.models.specs import resnet18_spec
 from repro.obs.export import prometheus_text
@@ -381,6 +383,26 @@ class TestConfigValidation:
         config = ResilienceConfig(seed=3)
         assert config.seed == 3
         assert config.retry.max_attempts == 3
+
+    @pytest.mark.parametrize("seed", [-3, True, 1.5, "3", None])
+    def test_bad_seed_rejected(self, seed):
+        """Retry jitter draws from SeedSequence([seed]) only when a retry
+        fires, so a bad seed must fail here, not mid-replay."""
+        with pytest.raises(ValueError, match=r"^resilience seed must be a "
+                           r"non-negative integer, got "):
+            ResilienceConfig(seed=seed)
+
+    def test_numpy_seed_stored_as_int(self):
+        config = ResilienceConfig(seed=np.int64(3))
+        assert type(config.seed) is int and config.seed == 3
+
+    def test_cli_refuses_a_negative_seed_before_serving(self, capsys):
+        assert main(["serve", "--num-requests", "10", "--resilience",
+                     "--resilience-seed", "-3"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: resilience seed must be a "
+                                "non-negative integer, got -3\n")
 
 
 # ----------------------------------------------------------------------
