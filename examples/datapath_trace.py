@@ -14,9 +14,11 @@ Run:  python examples/datapath_trace.py
 import numpy as np
 
 from repro import nn
-from repro.core import EpitomeShape, build_plan, wrapping_savings
+from repro.core.epitome import EpitomeShape, build_plan
+from repro.core.wrapping import wrapping_savings
 from repro.nn import functional as F
-from repro.pim import DEFAULT_CONFIG, build_index_tables, execute_epitome_conv
+from repro.pim.config import DEFAULT_CONFIG
+from repro.pim.datapath import build_index_tables, execute_epitome_conv
 
 
 def main():

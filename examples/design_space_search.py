@@ -17,15 +17,15 @@ can fan out across processes, and the same engine backs the
 Run:  python examples/design_space_search.py
 """
 
-from repro.models import resnet50_spec
-from repro.pim import baseline_deployment, simulate_network
+from repro.models.specs import resnet50_spec
+from repro.pim.simulator import baseline_deployment, simulate_network
 from repro.search import (
     EvoSearchConfig,
     build_candidate_grid,
     evolution_search,
     pareto_search,
 )
-from repro.core import build_deployments, uniform_assignment
+from repro.core.designer import build_deployments, uniform_assignment
 
 
 def main():

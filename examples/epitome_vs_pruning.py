@@ -15,9 +15,9 @@ shapes via the compaction model.
 Run:  python examples/epitome_vs_pruning.py
 """
 
-from repro.analysis import PRESETS, AccuracyWorkbench
-from repro.baselines import pim_prune_network
-from repro.models import resnet50_spec
+from repro.analysis.accuracy import PRESETS, AccuracyWorkbench
+from repro.baselines.pim_prune import pim_prune_network
+from repro.models.specs import resnet50_spec
 
 
 def main():

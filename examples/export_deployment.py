@@ -16,15 +16,11 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.core import (
-    EpitomeQuantConfig,
-    convert_model,
-    export_manifest,
-    manifest_summary,
-    write_manifest,
-)
+from repro.core.designer import convert_model
+from repro.core.equant import EpitomeQuantConfig
+from repro.core.export import export_manifest, manifest_summary, write_manifest
 from repro.data import make_synthetic_classification
-from repro.models import resnet20
+from repro.models.resnet import resnet20
 from repro.nn.data import DataLoader
 from repro.nn.serialization import load_checkpoint, save_checkpoint
 from repro.nn.training import TrainConfig, evaluate_accuracy, train_classifier

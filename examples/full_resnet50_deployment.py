@@ -10,10 +10,11 @@ chip floorplan (tiles/PEs/ADCs/area) for two of them.
 Run:  python examples/full_resnet50_deployment.py
 """
 
-from repro.analysis import Table
-from repro.core import build_deployments, uniform_assignment
-from repro.models import get_network_spec
-from repro.pim import baseline_deployment, build_floorplan, simulate_network
+from repro.analysis.tables import Table
+from repro.core.designer import build_deployments, uniform_assignment
+from repro.models.specs import get_network_spec
+from repro.pim.accelerator import build_floorplan
+from repro.pim.simulator import baseline_deployment, simulate_network
 
 
 def deploy(spec, assignment=None, w_bits=None, a_bits=None, wrap=False):

@@ -19,7 +19,7 @@ Run:  python examples/quantization_ablation.py
 
 from collections import Counter
 
-from repro.analysis import PRESETS, AccuracyWorkbench
+from repro.analysis.accuracy import PRESETS, AccuracyWorkbench
 
 
 def main():

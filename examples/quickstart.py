@@ -12,13 +12,10 @@ Run:  python examples/quickstart.py
 
 import numpy as np
 
-from repro.core import (
-    EpimPipeline,
-    EpimPipelineConfig,
-    EpitomeQuantConfig,
-)
+from repro.core.equant import EpitomeQuantConfig
+from repro.core.pipeline import EpimPipeline, EpimPipelineConfig
 from repro.data import make_synthetic_classification
-from repro.models import resnet20
+from repro.models.resnet import resnet20
 from repro.nn.data import DataLoader
 from repro.nn.training import TrainConfig
 

@@ -5,37 +5,3 @@
 - :mod:`repro.analysis.experiments` — one runner per paper table/figure;
 - :mod:`repro.analysis.tables` — paper-style text rendering.
 """
-
-from .accuracy import PRESETS, AccuracyPreset, AccuracyWorkbench
-from .experiments import run_figure3, run_figure4, run_table1, run_table2, run_table3
-from .hardware import (
-    FIGURE3_LAYERS,
-    Figure4Point,
-    HardwareRow,
-    figure3_rows,
-    figure4_series,
-    mixed_precision_bit_map,
-    table1_hardware_rows,
-)
-from .tables import Table, format_value, series_block
-
-__all__ = [
-    "AccuracyPreset",
-    "AccuracyWorkbench",
-    "PRESETS",
-    "run_table1",
-    "run_table2",
-    "run_table3",
-    "run_figure3",
-    "run_figure4",
-    "HardwareRow",
-    "Figure4Point",
-    "table1_hardware_rows",
-    "figure3_rows",
-    "figure4_series",
-    "mixed_precision_bit_map",
-    "FIGURE3_LAYERS",
-    "Table",
-    "format_value",
-    "series_block",
-]

@@ -26,9 +26,8 @@ import os
 import sys
 from typing import List, Optional
 
-from .accuracy import PRESETS
 from .experiments import run_figure3, run_figure4, run_table1, run_table2, run_table3
-from .hardware import figure3_layers
+from .presets import PRESETS
 from ..bench.cli import add_bench_parser, run_bench
 from ..lint.cli import add_lint_parser, run_lint_cli
 from ..models.specs import get_network_spec
@@ -103,6 +102,8 @@ def _run(args: argparse.Namespace) -> int:
     if args.command in ("figure3", "summary"):
         # Checked before anything prints: `summary` would otherwise print
         # Table 1 and then fail on Figure 3.
+        from .hardware import figure3_layers
+
         try:
             figure3_layers(get_network_spec(args.model))
         except ValueError as exc:

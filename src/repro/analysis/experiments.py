@@ -12,17 +12,11 @@ ImageNet substitution).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
-from .accuracy import PRESETS, AccuracyPreset, AccuracyWorkbench
-from .hardware import (
-    Figure4Point,
-    HardwareRow,
-    figure3_rows,
-    figure4_series,
-    table1_hardware_rows,
-)
+from .presets import PRESETS, AccuracyPreset
 from .tables import Table, series_block
 from ..models.specs import get_network_spec
 from ..pim.config import DEFAULT_CONFIG, HardwareConfig
@@ -38,6 +32,10 @@ from ..search import (
     evolution_search,
     uniform_budget,
 )
+
+if TYPE_CHECKING:       # pragma: no cover - typing only
+    from .accuracy import AccuracyWorkbench
+    from .hardware import Figure4Point, HardwareRow
 
 __all__ = [
     "run_table1",
@@ -67,10 +65,14 @@ def run_table1(model_name: str = "resnet50",
                verbose: bool = True) -> Table1Result:
     """Regenerate Table 1 (hardware columns exact; accuracy from the
     synthetic workbench, reported as the accuracy *of this substrate*)."""
+    from .hardware import table1_hardware_rows
+
     rows = table1_hardware_rows(model_name)
 
     accuracy: Dict[str, float] = {}
     if with_accuracy:
+        from .accuracy import AccuracyWorkbench
+
         bench = workbench or AccuracyWorkbench(preset)
         _, accuracy["FP32 baseline"] = bench.baseline()
         _, accuracy["EPIM FP32"] = bench.epitome_fp()
@@ -141,6 +143,8 @@ def run_table2(preset: AccuracyPreset = PRESETS["default"],
     ``ptq_bits`` where the range-setting mechanism shows without QAT
     recovery masking it.
     """
+    from .accuracy import AccuracyWorkbench
+
     bench = workbench or AccuracyWorkbench(preset)
     modes = [("naive", "Naive Quant"),
              ("crossbar", "+ Adjust with Crossbars"),
@@ -191,6 +195,8 @@ def run_table3(preset: AccuracyPreset = PRESETS["default"],
     Parameter compression rates are computed the same way as the paper
     (epitome virtual/actual; pruning survivors + index overhead).
     """
+    from .accuracy import AccuracyWorkbench
+
     bench = workbench or AccuracyWorkbench(preset)
     rows: List[Dict[str, float]] = []
 
@@ -233,6 +239,8 @@ class Figure3Result:
 def run_figure3(model_name: str = "resnet50", verbose: bool = True
                 ) -> Figure3Result:
     """Regenerate Figure 3: per-layer params/latency/energy, conv vs epitome."""
+    from .hardware import figure3_rows
+
     rows = figure3_rows(model_name)
     table = Table(["Layer", "Params(k) conv", "Params(k) epitome",
                    "Latency(ms) conv", "Latency(ms) epitome",
@@ -300,6 +308,9 @@ def run_search(model_name: str = "resnet50",
     repeat sweeps — the "re-search after a hardware-config tweak" loop —
     skip grid construction almost entirely.
     """
+    if not math.isfinite(budget_fraction):
+        raise ValueError(f"budget_fraction must be finite, got "
+                         f"{budget_fraction!r}")
     spec = get_network_spec(model_name)
     grid = build_candidate_grid(spec, weight_bits=weight_bits,
                                 activation_bits=activation_bits,
@@ -386,9 +397,8 @@ def run_search_then_serve(model_name: str = "resnet18",
     ``load_factors`` x the slowest fleet's capacity.  Returns per-policy
     p50/p99 latency, achieved throughput and energy per request.
     """
-    # Imported here: serve.engine (via serve.deploy) pulls in
-    # analysis.tables during repro.serve's own package import — a
-    # module-level import would re-enter repro.serve half-initialized.
+    # Imported here: of the runners, only this loop uses the serving
+    # runtime.
     from ..search.cli import search_result_payload
     from ..serve.deploy import (
         ab_offered_load_sweep,
@@ -432,6 +442,8 @@ def run_figure4(model_name: str = "resnet50", verbose: bool = True,
                 **kwargs) -> Figure4Result:
     """Regenerate Figure 4: latency/energy/EDP vs compression for the four
     methods (Uniform, +Channel Wrapping, +Evo-Search, EPIM-Opt)."""
+    from .hardware import figure4_series
+
     points = figure4_series(model_name, **kwargs)
     methods = ["Uniform", "EPIM-CW", "EPIM-Evo", "EPIM-Opt"]
     blocks = []

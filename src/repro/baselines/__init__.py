@@ -5,31 +5,3 @@
 - :mod:`repro.baselines.element_prune` — magnitude element pruning, used
   standalone and stacked with epitomes (Table 3).
 """
-
-from .element_prune import (
-    INDEX_OVERHEAD,
-    Pruner,
-    magnitude_mask,
-    pruned_compression,
-    sparse_param_cost,
-)
-from .pim_prune import (
-    PimPruneResult,
-    PrunedLayerResult,
-    compact_crossbar_count,
-    pim_prune_network,
-    structured_row_mask,
-)
-
-__all__ = [
-    "INDEX_OVERHEAD",
-    "magnitude_mask",
-    "sparse_param_cost",
-    "pruned_compression",
-    "Pruner",
-    "compact_crossbar_count",
-    "structured_row_mask",
-    "PrunedLayerResult",
-    "PimPruneResult",
-    "pim_prune_network",
-]

@@ -24,7 +24,7 @@ import json
 import math
 import sys
 from pathlib import Path
-from typing import List, Optional
+from typing import Optional
 
 from .compare import compare_runs
 from .registry import load_suites
@@ -38,7 +38,7 @@ from .runner import (
     run_suites,
 )
 
-__all__ = ["add_bench_parser", "run_bench", "main"]
+__all__ = ["add_bench_parser", "run_bench"]
 
 DEFAULT_BASELINE = Path("benchmarks") / "baseline.json"
 
@@ -141,12 +141,15 @@ def _execute_run(args, fast: Optional[bool] = None,
                  warmup: Optional[int] = None,
                  repeats: Optional[int] = None,
                  rounds: Optional[int] = None) -> BenchRun:
-    config = RunnerConfig(
-        fast=args.fast if fast is None else fast,
-        warmup=_pick(args, "warmup", warmup, DEFAULT_WARMUP),
-        repeats=_pick(args, "repeats", repeats, DEFAULT_REPEATS),
-        rounds=_pick(args, "rounds", rounds, DEFAULT_ROUNDS),
-    )
+    try:
+        config = RunnerConfig(
+            fast=args.fast if fast is None else fast,
+            warmup=_pick(args, "warmup", warmup, DEFAULT_WARMUP),
+            repeats=_pick(args, "repeats", repeats, DEFAULT_REPEATS),
+            rounds=_pick(args, "rounds", rounds, DEFAULT_ROUNDS),
+        )
+    except ValueError as exc:
+        raise _InputError(str(exc)) from exc
     return run_suites(suites=args.suite, names=args.name, config=config,
                       progress=lambda line: print(line, file=sys.stderr))
 
@@ -230,15 +233,3 @@ def run_bench(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     raise ValueError(f"unknown bench command {args.bench_command!r}")
-
-
-def main(argv: Optional[List[str]] = None) -> int:
-    """Standalone entry point (``python -m repro.bench.cli``)."""
-    parser = argparse.ArgumentParser(prog="python -m repro.bench.cli")
-    sub = parser.add_subparsers(dest="command", required=True)
-    add_bench_parser(sub)
-    return run_bench(parser.parse_args(argv))
-
-
-if __name__ == "__main__":      # pragma: no cover
-    sys.exit(main())

@@ -20,11 +20,10 @@ utilised (the paper's "memristor utilization" column).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .. import nn
 from ..models.specs import LayerSpec, NetworkSpec
 from ..pim.config import DEFAULT_CONFIG, HardwareConfig
 from ..pim.simulator import (
@@ -33,7 +32,10 @@ from ..pim.simulator import (
     epitome_deployment_from_shape,
 )
 from .epitome import EpitomeShape
-from .layers import EpitomeConv2d
+
+if TYPE_CHECKING:       # pragma: no cover - typing only
+    from .. import nn
+    from .layers import EpitomeConv2d
 
 __all__ = [
     "EpitomeAssignment",
@@ -165,7 +167,8 @@ def spec_from_model(model: nn.Module, input_size: Tuple[int, int],
     evolutionary search and the PIM simulator operate on trainable models
     exactly as they do on the full-size ResNet shape tables.
     """
-    from .layers import EpitomeConv2d  # local import to avoid cycles
+    from .. import nn
+    from .layers import EpitomeConv2d
 
     layers: List[LayerSpec] = []
     size = input_size
@@ -230,6 +233,9 @@ def convert_model(model: nn.Module,
         Initialise each epitome from the trained conv weights
         (least-squares averaging over shared positions).
     """
+    from .. import nn
+    from .layers import EpitomeConv2d
+
     rng = np.random.default_rng(seed)
     converted = 0
     for name, module in list(model.named_modules()):
@@ -270,6 +276,8 @@ def _layer_spec_from_conv(name: str, conv: nn.Conv2d) -> LayerSpec:
 
 def epitome_layers(model: nn.Module) -> List[Tuple[str, EpitomeConv2d]]:
     """All epitome conv layers of a model with their module paths."""
+    from .layers import EpitomeConv2d
+
     return [(name, module) for name, module in model.named_modules()
             if isinstance(module, EpitomeConv2d)]
 
@@ -281,6 +289,8 @@ def model_compression_summary(model: nn.Module) -> Dict[str, float]:
     parameter count, and the resulting compression rate — the metric
     Table 3 compares against pruning.
     """
+    from .layers import EpitomeConv2d
+
     actual = model.num_parameters()
     virtual = 0
     for _, module in model.named_modules():

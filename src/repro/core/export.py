@@ -27,18 +27,17 @@ from __future__ import annotations
 import dataclasses
 import json
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple, Union
 
-
-from .. import nn
 from ..models.specs import LayerSpec
 from ..pim.config import DEFAULT_CONFIG, HardwareConfig
-from ..pim.datapath import build_index_tables
 from ..pim.mapping import map_matrix
 from ..pim.simulator import LayerDeployment
-from .designer import epitome_layers
-from .equant import EpitomeQuantConfig, epitome_scales
-from .layers import EpitomeConv2d
+
+if TYPE_CHECKING:       # pragma: no cover - typing only
+    from .. import nn
+    from .equant import EpitomeQuantConfig
+    from .layers import EpitomeConv2d
 
 __all__ = [
     "export_manifest",
@@ -56,6 +55,9 @@ def _layer_entry(name: str, module: EpitomeConv2d,
                  quant: Optional[EpitomeQuantConfig],
                  config: HardwareConfig,
                  include_tables: bool) -> Dict:
+    from ..pim.datapath import build_index_tables
+    from .equant import epitome_scales
+
     shape = module.epitome_shape
     weight_bits = quant.bits if quant is not None else None
     alloc = map_matrix(shape.rows, shape.cols,
@@ -118,6 +120,8 @@ def export_manifest(model: nn.Module,
         Embed the full IFAT/OFAT contents (IFRT as enabled-row counts);
         large, so off by default.
     """
+    from .designer import epitome_layers
+
     layers = epitome_layers(model)
     entries: List[Dict] = [
         _layer_entry(name, module, quant, config, include_tables)

@@ -5,41 +5,3 @@
 - :mod:`repro.models.resnet`: runnable, trainable scaled ResNets on
   :mod:`repro.nn` for the accuracy experiments.
 """
-
-from .resnet import (
-    BasicBlock,
-    Bottleneck,
-    CifarResNet,
-    conv_layer_names,
-    mini_resnet50,
-    resnet20,
-    resnet32,
-    resnet44,
-)
-from .specs import (
-    LayerSpec,
-    NetworkSpec,
-    get_network_spec,
-    resnet18_spec,
-    resnet34_spec,
-    resnet50_spec,
-    resnet101_spec,
-)
-
-__all__ = [
-    "LayerSpec",
-    "NetworkSpec",
-    "get_network_spec",
-    "resnet18_spec",
-    "resnet34_spec",
-    "resnet50_spec",
-    "resnet101_spec",
-    "BasicBlock",
-    "Bottleneck",
-    "CifarResNet",
-    "resnet20",
-    "resnet32",
-    "resnet44",
-    "mini_resnet50",
-    "conv_layer_names",
-]

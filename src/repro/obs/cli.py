@@ -23,12 +23,12 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
-from typing import List, Optional
+from typing import List
 
 from .export import parse_prometheus_text
 from .validate import iter_jsonl, validate_file
 
-__all__ = ["add_obs_parser", "run_obs", "main"]
+__all__ = ["add_obs_parser", "run_obs"]
 
 
 def add_obs_parser(subparsers) -> argparse.ArgumentParser:
@@ -149,15 +149,3 @@ def run_obs(args) -> int:
     if args.obs_command == "summarize":
         return _cmd_summarize(args.file)
     raise ValueError(f"unknown obs command {args.obs_command!r}")
-
-
-def main(argv: Optional[List[str]] = None) -> int:
-    """Standalone entry point (``python -m repro.obs.cli``)."""
-    parser = argparse.ArgumentParser(prog="python -m repro.obs.cli")
-    sub = parser.add_subparsers(dest="command", required=True)
-    add_obs_parser(sub)
-    return run_obs(parser.parse_args(argv))
-
-
-if __name__ == "__main__":      # pragma: no cover
-    sys.exit(main())

@@ -11,61 +11,3 @@ Two complementary halves:
   allocations, latency, energy and area via the component LUT
   (:mod:`repro.pim.lut`).
 """
-
-from .accelerator import ChipFloorplan, build_floorplan
-from .config import DEFAULT_CONFIG, HardwareConfig, input_cycles, weight_slices
-from .crossbar import CrossbarArray
-from .datapath import (
-    IndexTables,
-    build_index_tables,
-    epitome_to_matrix,
-    execute_epitome_conv,
-)
-from .lut import DEFAULT_LUT, ComponentLUT
-from .mapping import CrossbarAllocation, map_conv_layer, map_matrix
-from .noc import NocReport, TilePlacement, analyze_noc, place_tiles
-from .simulator import (
-    LayerDeployment,
-    LayerReport,
-    NetworkReport,
-    SimCounters,
-    baseline_deployment,
-    epitome_deployment_from_plan,
-    reset_sim_counters,
-    sim_counters,
-    simulate_layer,
-    simulate_network,
-)
-
-__all__ = [
-    "HardwareConfig",
-    "DEFAULT_CONFIG",
-    "weight_slices",
-    "input_cycles",
-    "ComponentLUT",
-    "DEFAULT_LUT",
-    "CrossbarAllocation",
-    "map_matrix",
-    "map_conv_layer",
-    "CrossbarArray",
-    "IndexTables",
-    "build_index_tables",
-    "epitome_to_matrix",
-    "execute_epitome_conv",
-    "LayerDeployment",
-    "LayerReport",
-    "NetworkReport",
-    "SimCounters",
-    "baseline_deployment",
-    "epitome_deployment_from_plan",
-    "sim_counters",
-    "reset_sim_counters",
-    "simulate_layer",
-    "simulate_network",
-    "ChipFloorplan",
-    "build_floorplan",
-    "NocReport",
-    "TilePlacement",
-    "analyze_noc",
-    "place_tiles",
-]

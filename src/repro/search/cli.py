@@ -40,7 +40,7 @@ from .evolve import EvoSearchConfig
 from .gridcache import GridCache
 
 __all__ = ["add_search_parser", "run_search_cli", "search_result_payload",
-           "main", "SEARCH_RESULT_SCHEMA", "SEARCH_RESULT_VERSION"]
+           "SEARCH_RESULT_SCHEMA", "SEARCH_RESULT_VERSION"]
 
 MODELS = ["resnet18", "resnet34", "resnet50", "resnet101"]
 OBJECTIVE_CHOICES = ["latency", "energy", "edp", "pareto"]
@@ -178,8 +178,8 @@ def search_result_payload(outcome, cache: Optional[GridCache] = None) -> dict:
 
 def run_search_cli(args) -> int:
     """Dispatch a parsed ``search`` namespace (wired from repro.analysis.cli)."""
-    # Imported here: repro.analysis.cli imports this module, and
-    # experiments pulls the analysis package in turn.
+    # Imported here: repro.analysis builds on repro.search, so the search
+    # package loads it only to run a search from the shell.
     from ..analysis.experiments import run_search
 
     try:
@@ -202,17 +202,21 @@ def run_search_cli(args) -> int:
     tracer = Tracer() if args.trace_out is not None else NullTracer()
     registry = MetricsRegistry()
     with use_tracer(tracer), use_metrics(registry):
-        outcome = run_search(
-            model_name=args.model,
-            objective=args.objective,
-            budget=args.budget,
-            budget_fraction=args.budget_fraction,
-            search=search,
-            weight_bits=args.weight_bits,
-            activation_bits=args.activation_bits,
-            use_wrapping=not args.no_wrapping,
-            grid_cache=cache,
-        )
+        try:
+            outcome = run_search(
+                model_name=args.model,
+                objective=args.objective,
+                budget=args.budget,
+                budget_fraction=args.budget_fraction,
+                search=search,
+                weight_bits=args.weight_bits,
+                activation_bits=args.activation_bits,
+                use_wrapping=not args.no_wrapping,
+                grid_cache=cache,
+            )
+        except ValueError as exc:      # a non-finite --budget-fraction
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
     if args.metrics_out is not None:
         sim_counters().publish(registry)
         write_metrics(registry, args.metrics_out)
@@ -257,15 +261,3 @@ def run_search_cli(args) -> int:
                        args.emit_deployment)
         print(f"wrote deployment manifest -> {args.emit_deployment}")
     return 0
-
-
-def main(argv: Optional[List[str]] = None) -> int:
-    """Standalone entry point (``python -m repro.search.cli``)."""
-    parser = argparse.ArgumentParser(prog="python -m repro.search.cli")
-    sub = parser.add_subparsers(dest="command", required=True)
-    add_search_parser(sub)
-    return run_search_cli(parser.parse_args(argv))
-
-
-if __name__ == "__main__":      # pragma: no cover
-    sys.exit(main())

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import os
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from typing import Callable, List, Sequence
 
 __all__ = ["ENV_FORCE_WORKERS", "effective_workers", "parallel_map"]
@@ -55,6 +54,8 @@ def parallel_map(task: Callable, payloads: Sequence, workers: int) -> List:
     """
     n = effective_workers(workers, len(payloads))
     if n > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         try:
             with ProcessPoolExecutor(max_workers=n) as pool:
                 return list(pool.map(task, payloads))

@@ -32,7 +32,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import List, Optional
 
 from ..core.designer import build_deployments, uniform_assignment
 from ..core.export import export_deployments, write_manifest
@@ -56,7 +55,7 @@ from .scenarios import get_scenario, parse_faults, scenario_table
 from .scheduler import SchedulerConfig
 from .trace import load_trace, save_trace, synthetic_trace_arrays
 
-__all__ = ["add_serve_parser", "run_serve", "main"]
+__all__ = ["add_serve_parser", "run_serve"]
 
 MODEL_CHOICES = ["resnet18", "resnet34", "resnet50", "resnet101", "vgg16"]
 POLICY_CHOICES = list(SELECTION_POLICIES)
@@ -475,18 +474,3 @@ def _run_serve(args) -> int:
         print()
         print(json.dumps(telemetry.summary(slo=slo), indent=2))
     return 0
-
-
-def main(argv: Optional[List[str]] = None) -> int:
-    """Standalone entry (``python -m repro.serve.cli``)."""
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.serve.cli",
-        description="EPIM serving runtime")
-    sub = parser.add_subparsers(dest="command", required=True)
-    add_serve_parser(sub)
-    args = parser.parse_args(argv)
-    return run_serve(args)
-
-
-if __name__ == "__main__":      # pragma: no cover
-    sys.exit(main())

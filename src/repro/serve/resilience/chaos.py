@@ -31,6 +31,7 @@ deterministic tests).
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import asdict, dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -235,8 +236,19 @@ def run_chaos(seeds: Sequence[int],
     One row per seed with the plan and both fleets' outcomes; an empty
     problem list means every invariant held.  The harness never raises
     on an invariant breach — the caller (CLI, tests) decides
-    what a non-empty problem list is worth.
+    what a non-empty problem list is worth.  A floor outside [0, 1]
+    (NaN compares false, so it would switch the floor check off) or a
+    seed that is not a non-negative integer raises ``ValueError``
+    before any fleet is built.
     """
+    if not 0.0 <= availability_floor <= 1.0:
+        raise ValueError(f"availability_floor must be a finite number in "
+                         f"[0, 1], got {availability_floor!r}")
+    for seed in seeds:
+        if (isinstance(seed, bool) or not isinstance(seed, numbers.Integral)
+                or seed < 0):
+            raise ValueError(f"chaos seed must be a non-negative integer, "
+                             f"got {seed!r}")
     fleets = build_chaos_fleets(payload, num_chips=num_chips)
     on, off = fleets["resilience-on"], fleets["resilience-off"]
     replica_chips = [ex.chip_ids[0] for ex in on.executors]

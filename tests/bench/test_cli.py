@@ -92,6 +92,18 @@ def test_bench_run_requires_known_suite(capsys):
     assert "error: unknown suite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag, value, message", [
+    ("--repeats", "0", "repeats must be >= 1"),
+    ("--rounds", "0", "rounds must be >= 1"),
+    ("--warmup", "-1", "warmup must be >= 0"),
+], ids=["repeats-0", "rounds-0", "warmup-minus-1"])
+def test_bench_run_rejects_a_bad_runner_config(flag, value, message,
+                                               capsys):
+    assert repro_main(["bench", "run", "--fast", "--no-write",
+                       flag, value]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_failing_gate_exits_1_naming_the_benchmark(tmp_path, monkeypatch,
                                                    capsys):
     """A gate's verdict is not a harness bug: `error: <benchmark>: ...`

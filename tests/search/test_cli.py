@@ -85,6 +85,16 @@ class TestSearchCLI:
         assert code == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("fraction", ["inf", "nan"])
+    def test_non_finite_budget_fraction_exits_2(self, fraction, capsys):
+        code = main(["search", "--model", "resnet18", "--no-cache",
+                     "--budget-fraction", fraction])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == (f"error: budget_fraction must be finite, "
+                                f"got {fraction}\n")
+
     def test_invalid_objective_rejected_by_argparse(self):
         with pytest.raises(SystemExit):
             main(["search", "--objective", "speed"])

@@ -13,6 +13,7 @@ import json
 import pytest
 
 from repro.analysis.cli import main
+from repro.serve.resilience import chaos
 from repro.serve.resilience.chaos import (
     CHAOS_SCENARIOS,
     build_chaos_fleets,
@@ -25,6 +26,11 @@ from repro.serve.resilience.chaos import (
 from repro.serve.scenarios.faults import parse_faults
 
 REPLICA_CHIPS = [0, 3]          # a 6-chip, 2-replica layout
+
+
+def _no_fleets(*args, **kwargs):
+    raise AssertionError("bad input must be rejected before the fleets "
+                         "are built")
 
 
 @pytest.fixture(scope="module")
@@ -125,9 +131,26 @@ class TestRunChaos:
         assert text == json.dumps(payload, indent=2, sort_keys=True)
 
     def test_availability_floor_breach_is_reported(self, payload):
+        # Seed 3 completes 299 of its 300 requests, so a floor of 1 breaks.
         _, problems = run_chaos([3], num_requests=300, payload=payload,
-                                availability_floor=1.1)
+                                availability_floor=1.0)
         assert any("below the floor" in p for p in problems)
+
+    @pytest.mark.parametrize("floor", [float("nan"), float("inf"),
+                                       float("-inf"), -0.1, 1.1])
+    def test_rejects_a_floor_outside_the_unit_interval(self, floor,
+                                                       monkeypatch):
+        # NaN compares false, so it would switch the floor check off.
+        monkeypatch.setattr(chaos, "build_chaos_fleets", _no_fleets)
+        with pytest.raises(ValueError, match="availability_floor"):
+            run_chaos([3], availability_floor=floor)
+
+    @pytest.mark.parametrize("seed", [-3, True, 1.5, "3", None])
+    def test_rejects_a_seed_that_is_not_a_non_negative_integer(
+            self, seed, monkeypatch):
+        monkeypatch.setattr(chaos, "build_chaos_fleets", _no_fleets)
+        with pytest.raises(ValueError, match="chaos seed"):
+            run_chaos([3, seed])
 
     def test_render_tabulates_every_seed(self, chaos_run):
         rows, _ = chaos_run
@@ -154,8 +177,22 @@ class TestChaosCLI:
 
     def test_floor_breach_exits_nonzero(self, capsys):
         code = main(["serve", "chaos", "--seed", "3",
-                     "--num-requests", "120",
-                     "--availability-floor", "1.1"])
+                     "--num-requests", "300",
+                     "--availability-floor", "1.0"])
         captured = capsys.readouterr()
         assert code == 1
         assert "INVARIANT VIOLATED" in captured.err
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--availability-floor", "nan"],
+         "error: availability_floor must be a finite number in [0, 1], "
+         "got nan\n"),
+        (["--seed", "-3"],
+         "error: chaos seed must be a non-negative integer, got -3\n"),
+    ], ids=["nan-floor", "negative-seed"])
+    def test_bad_input_exits_2_before_the_drill(self, argv, message,
+                                                capsys):
+        assert main(["serve", "chaos", *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == message

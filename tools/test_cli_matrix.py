@@ -294,6 +294,22 @@ REJECTS = [
             "--resilience-seed", "-3"), 2,
            (r"^error: resilience seed must be a non-negative integer, "
             r"got -3$",)),
+    # A NaN floor compares false, so the drill's floor check never fired.
+    Reject("serve-chaos-nan-availability-floor",
+           ("serve", "chaos", "--availability-floor", "nan"), 2,
+           (r"^error: availability_floor must be a finite number in "
+            r"\[0, 1\], got nan$",)),
+    Reject("serve-chaos-negative-seed", ("serve", "chaos", "--seed", "-3"),
+           2, (r"^error: chaos seed must be a non-negative integer, "
+               r"got -3$",)),
+    *(Reject(f"search-budget-fraction-{value}",
+             ("search", "--model", "resnet18", "--no-cache",
+              "--budget-fraction", value), 2,
+             (rf"^error: budget_fraction must be finite, got {value}$",))
+      for value in ("inf", "nan")),
+    Reject("bench-run-zero-repeats",
+           ("bench", "run", "--no-write", "--repeats", "0"), 2,
+           (r"^error: repeats must be >= 1$",)),
 ]
 
 
