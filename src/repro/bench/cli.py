@@ -26,17 +26,19 @@ import sys
 from pathlib import Path
 from typing import Optional
 
-from .compare import compare_runs
-from .registry import load_suites
-from .results import BenchRun, latest_run_path, load_run, write_run
-from .runner import (
+from .results import (
     DEFAULT_REPEATS,
     DEFAULT_ROUNDS,
     DEFAULT_WARMUP,
-    BenchmarkFailure,
-    RunnerConfig,
-    run_suites,
+    BenchRun,
+    latest_run_path,
+    load_run,
+    write_run,
 )
+
+# The runner (and through it ``subprocess``), the registry and the
+# suites load in the functions that run them: every ``repro`` command
+# builds this parser, and only ``repro bench`` runs anything.
 
 __all__ = ["add_bench_parser", "run_bench"]
 
@@ -59,6 +61,8 @@ def _load_run_file(path) -> BenchRun:
 
 
 def _validate_selection(args) -> None:
+    from .registry import load_suites
+
     try:
         load_suites().select(suites=args.suite, names=args.name)
     except KeyError as exc:
@@ -141,6 +145,8 @@ def _execute_run(args, fast: Optional[bool] = None,
                  warmup: Optional[int] = None,
                  repeats: Optional[int] = None,
                  rounds: Optional[int] = None) -> BenchRun:
+    from .runner import RunnerConfig, run_suites
+
     try:
         config = RunnerConfig(
             fast=args.fast if fast is None else fast,
@@ -165,6 +171,8 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_compare(args) -> int:
+    from .compare import compare_runs
+
     if not (math.isfinite(args.tolerance) and args.tolerance >= 0):
         raise _InputError(f"--tolerance must be a finite number >= 0, "
                           f"got {args.tolerance}")
@@ -201,8 +209,10 @@ def _mode(run: BenchRun) -> str:
 
 
 def _cmd_list(_args) -> int:
-    registry = load_suites()
     from ..analysis.tables import Table
+    from .registry import load_suites
+
+    registry = load_suites()
     table = Table(["benchmark", "suite", "description"],
                   title=f"{len(registry)} registered benchmarks")
     for bench in registry.select():
@@ -214,6 +224,8 @@ def _cmd_list(_args) -> int:
 
 def run_bench(args) -> int:
     """Dispatch a parsed ``bench`` namespace (wired from repro.analysis.cli)."""
+    from .runner import BenchmarkFailure
+
     try:
         if args.bench_command == "run":
             return _cmd_run(args)

@@ -70,6 +70,11 @@ BENCH_FILE_PREFIX = "BENCH_"
 # the host's core count.
 THREAD_ENV_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
                    "MKL_NUM_THREADS")
+# The run discipline a run file records when its caller sets none: the
+# runner's and ``repro bench run``'s defaults.
+DEFAULT_WARMUP = 1
+DEFAULT_REPEATS = 5
+DEFAULT_ROUNDS = 3
 
 
 @dataclass

@@ -61,7 +61,14 @@ from .registry import (
     Workload,
     load_suites,
 )
-from .results import THREAD_ENV_VARS, BenchResult, BenchRun
+from .results import (
+    DEFAULT_REPEATS,
+    DEFAULT_ROUNDS,
+    DEFAULT_WARMUP,
+    THREAD_ENV_VARS,
+    BenchResult,
+    BenchRun,
+)
 
 __all__ = [
     "BenchmarkFailure",
@@ -72,9 +79,6 @@ __all__ = [
     "peak_rss_kb",
 ]
 
-DEFAULT_WARMUP = 1
-DEFAULT_REPEATS = 5
-DEFAULT_ROUNDS = 3
 DEFAULT_MIN_SAMPLE_MS = 10.0
 MAX_INNER_LOOPS = 10_000
 

@@ -21,19 +21,3 @@ Findings can be suppressed inline (``# reprolint: disable=RULE``) or
 carried in a reviewed baseline file (``lint-baseline.json``).  The rule
 catalog and suppression policy live in ``docs/static-analysis.md``.
 """
-
-from .baseline import Baseline
-from .config import LintConfig
-from .engine import LintResult, run_lint
-from .findings import Finding
-from .rules import RULES, all_rule_ids
-
-__all__ = [
-    "Baseline",
-    "Finding",
-    "LintConfig",
-    "LintResult",
-    "RULES",
-    "all_rule_ids",
-    "run_lint",
-]

@@ -19,11 +19,10 @@ import argparse
 import sys
 from pathlib import Path
 
-from .baseline import Baseline
-from .config import LintConfig
-from .engine import LintError, run_lint
-from .report import FORMATS, render
-from .rules import RULES, all_rule_ids
+from .report import FORMATS
+
+# The engine and the rules load in run_lint_cli: every ``repro`` command
+# builds this parser, and only ``repro lint`` runs them.
 
 __all__ = ["add_lint_parser", "run_lint_cli"]
 
@@ -58,6 +57,12 @@ def add_lint_parser(subparsers) -> argparse.ArgumentParser:
 
 
 def run_lint_cli(args: argparse.Namespace) -> int:
+    from .baseline import Baseline
+    from .config import LintConfig
+    from .engine import LintError, run_lint
+    from .report import render
+    from .rules import RULES, all_rule_ids
+
     if args.list_rules:
         for rule_id in all_rule_ids():
             rule = RULES[rule_id]

@@ -8,10 +8,12 @@ commands (``::error file=...``) so CI findings annotate the diff view.
 from __future__ import annotations
 
 import json
-from typing import IO, List
+from typing import IO, TYPE_CHECKING, List
 
-from .engine import LintResult
 from .findings import Finding
+
+if TYPE_CHECKING:       # pragma: no cover - typing only
+    from .engine import LintResult
 
 __all__ = ["FORMATS", "render"]
 

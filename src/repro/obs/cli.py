@@ -30,6 +30,8 @@ from .validate import iter_jsonl, validate_file
 
 __all__ = ["add_obs_parser", "run_obs"]
 
+_METRIC_TYPES = ("counter", "gauge", "histogram")
+
 
 def add_obs_parser(subparsers) -> argparse.ArgumentParser:
     """Register the ``obs`` subcommand on an existing subparser set."""
@@ -90,13 +92,18 @@ def _rows_from_prometheus(text: str) -> List[dict]:
 
 def _rows_from_jsonl(text: str) -> List[dict]:
     """Table rows, one per line; raises :class:`ValueError` naming the
-    first line that is not a JSON object."""
+    first line that is not a metric: a JSON object whose ``type`` is
+    ``counter``, ``gauge`` or ``histogram`` (a span JSONL line is not)."""
     rows = []
     for lineno, payload in iter_jsonl(text):
         if not isinstance(payload, dict):
             raise ValueError(f"line {lineno}: expected a JSON object, "
                              f"got {type(payload).__name__}")
-        if payload.get("type") == "histogram":
+        kind = payload.get("type")
+        if kind not in _METRIC_TYPES:
+            raise ValueError(f"line {lineno}: 'type' must be counter, "
+                             f"gauge or histogram, got {kind!r}")
+        if kind == "histogram":
             quantiles = payload.get("quantiles")
             if not isinstance(quantiles, dict):
                 quantiles = {}
@@ -106,8 +113,8 @@ def _rows_from_jsonl(text: str) -> List[dict]:
             value = " ".join(parts)
         else:
             value = f"{payload.get('value')}"
-        rows.append({"metric": payload.get("name", "?"),
-                     "type": payload.get("type", "?"), "value": value})
+        rows.append({"metric": payload.get("name", "?"), "type": kind,
+                     "value": value})
     return rows
 
 

@@ -18,9 +18,23 @@ Exports:
 - :meth:`Tracer.write_jsonl` — one span object per line, for ``jq`` and
   log pipelines.
 
-Both write the bytes ``json.dumps`` gives each event, but encode a
-column of spans per ``json.dumps`` call (:func:`_encoded`) and stream
-bounded chunks to the file (docs/observability.md).
+Both write the bytes ``json.dumps`` gives each event, its times on the
+1 ns grid below, but encode a column of spans per ``json.dumps`` call
+(:func:`_encoded`) and stream bounded chunks to the file
+(docs/observability.md).
+
+Exported times sit on a 1 ns grid.  Each span's start and end become
+whole nanoseconds once, ``rint(ms * 1e6)``; Chrome ``ts``/``dur`` are
+those integers over ``1e3`` (µs), span-JSONL ``start_ms``/``end_ms``/
+``dur_ms`` the same integers over ``1e6``, and a duration is
+``end_ns - start_ns``, so the two files agree to the nanosecond and a
+day-long time prints in at most 14 digits instead of 17.  The rule
+covers finite floats (NumPy ``float64`` included) whose nanosecond
+value is below 2**53, about 104 days; a duration takes it only when
+both its times do.  Ints, bools, NaN, ±inf and larger times are
+written as recorded: ms times 1000 in Chrome, the value itself in
+JSONL.  In memory, times keep full precision: :attr:`Tracer.spans`,
+:meth:`Span.as_dict` and ``args`` are never rounded.
 
 The default tracer is :class:`NullTracer` (see :mod:`repro.obs.runtime`):
 every record is a no-op and instrumented hot loops guard attribute
@@ -34,10 +48,12 @@ import json
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
-from itertools import repeat
-from operator import itemgetter, mod, mul, sub
+from operator import itemgetter, mod
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional, Sequence, Union
+from typing import (Callable, Dict, Iterator, List, Optional, Sequence,
+                    Tuple, Union)
+
+import numpy as np
 
 from .gcpause import gc_paused
 
@@ -60,6 +76,12 @@ _TAILS = ("%s}", ', "args": {"id": %s}}', ', "args": {%s}}')
 _CHROME_META = ('{"name": "thread_name", "ph": "M", "pid": 0, "tid": %d, '
                 '"args": {"name": %s}}')
 
+# The 1 ns grid: ns per exported unit, and the bound below which every
+# whole number of ns is exact in a float.
+_NS_PER_US = 1e3
+_NS_PER_MS = 1e6
+_NS_LIMIT = 2.0 ** 53
+
 
 def _encoded(values: Sequence, sep: str = ", ") -> List[str]:
     """Each item's JSON text, from one ``json.dumps`` of the column.
@@ -76,7 +98,35 @@ def _encoded(values: Sequence, sep: str = ", ") -> List[str]:
     return [text[edge:len(text) - edge] for text in map(json.dumps, values)]
 
 
-def _rows_text(head: str, columns: Sequence, args: Sequence,
+def _ns_grid(times: Sequence) -> Tuple[np.ndarray, np.ndarray]:
+    """Each time as whole nanoseconds, ``rint(ms * 1e6)``, and where the
+    1 ns rule covers it: a finite float whose ns value is below 2**53.
+
+    Anything but a float reads as NaN, which the rule does not cover.
+    An uncovered time's ns value is 0, so arithmetic on the grid meets
+    no NaN or inf; adding ``0.0`` turns ``-0.0`` into the integer zero.
+    """
+    if set(map(type, times)) != {float}:
+        times = [t if isinstance(t, float) else np.nan for t in times]
+    with np.errstate(over="ignore"):    # a time near float max: not covered
+        ns = np.rint(np.array(times, dtype=np.float64) * _NS_PER_MS) + 0.0
+    covered = np.abs(ns) < _NS_LIMIT
+    ns[~covered] = 0.0
+    return ns, covered
+
+
+def _on_grid(grid: np.ndarray, covered: np.ndarray,
+             recorded: Callable[[int], object]) -> List:
+    """``grid`` where the rule ``covered`` the time, else
+    ``recorded(i)``: the value written for a time the rule leaves
+    alone."""
+    values = grid.tolist()
+    for i in np.flatnonzero(~covered).tolist():
+        values[i] = recorded(i)
+    return values
+
+
+def _rows_text(head: str, columns: Sequence[List[str]], args: Sequence,
                sep: str) -> str:
     """One chunk's rows joined by ``sep``: ``head`` filled from the
     encoded ``columns``, plus the tail of the row's ``args`` kind."""
@@ -94,7 +144,7 @@ def _rows_text(head: str, columns: Sequence, args: Sequence,
              for k in kinds]
     templates = [head + tail for tail in _TAILS]
     return sep.join(map(mod, map(templates.__getitem__, kinds),
-                        zip(*map(_encoded, columns), texts)))
+                        zip(*columns, texts)))
 
 
 @dataclass(frozen=True)
@@ -239,19 +289,25 @@ class Tracer:
         """The Chrome trace text, chunk by chunk."""
         self._flush_sources()
         tracks = sorted({event[4] for event in self._events})
-        tids = {track: i for i, track in enumerate(tracks)}
+        tids = {track: str(i) for i, track in enumerate(tracks)}
         yield '{"traceEvents": [' + ", ".join(
             [_CHROME_META % (i, text)
              for i, text in enumerate(_encoded(tracks))])
         sep = ", " if tracks else ""
         for names, categories, starts, ends, track, args in \
                 self._ordered_chunks():
-            ts = list(map(mul, starts, repeat(1000.0)))
-            dur = list(map(mul, map(sub, ends, starts), repeat(1000.0)))
-            tid = list(map(tids.__getitem__, track))
-            yield sep + _rows_text(_CHROME_HEAD,
-                                   (names, categories, ts, dur, tid),
-                                   args, ", ")
+            start_ns, start_on = _ns_grid(starts)
+            end_ns, end_on = _ns_grid(ends)
+            ts = _on_grid(start_ns / _NS_PER_US, start_on,
+                          lambda i: starts[i] * 1000.0)
+            dur = _on_grid((end_ns - start_ns) / _NS_PER_US,
+                           start_on & end_on,
+                           lambda i: (ends[i] - starts[i]) * 1000.0)
+            yield sep + _rows_text(
+                _CHROME_HEAD,
+                (_encoded(names), _encoded(categories), _encoded(ts),
+                 _encoded(dur), list(map(tids.__getitem__, track))),
+                args, ", ")
             sep = ", "
         yield '], "displayTimeUnit": "ms"}\n'
 
@@ -259,10 +315,15 @@ class Tracer:
         """Chrome trace-event JSON (object format, ``X`` complete events).
 
         Tracks map to thread ids (one ``M``/``thread_name`` metadata event
-        each); timestamps are microseconds as the format requires.  Events
-        are sorted by start time so per-track ``ts`` is monotone.  The
-        object is the parse of the text :meth:`write_chrome_trace`
-        writes, so ``args`` keys are strings and tuples are lists.
+        each); timestamps are microseconds as the format requires, on a
+        1 ns grid: a finite float time below 2**53 ns is written as whole
+        nanoseconds over ``1e3``, and ``dur`` as the difference of the
+        two, while ints, bools, NaN, ±inf and larger times are written
+        as ms times 1000 (see the module docstring).  Events are sorted
+        by start time so per-track ``ts`` is monotone.  The object is the
+        parse of the text :meth:`write_chrome_trace` writes, so ``args``
+        keys are strings and tuples are lists; :attr:`spans` keeps the
+        recorded times at full precision.
         """
         return json.loads("".join(self._chrome_chunks()))
 
@@ -273,10 +334,19 @@ class Tracer:
     def _jsonl_chunks(self) -> Iterator[str]:
         for names, categories, starts, ends, tracks, args in \
                 self._ordered_chunks():
-            dur = list(map(sub, ends, starts))
-            yield _rows_text(_JSONL_HEAD,
-                             (names, categories, tracks, starts, ends, dur),
-                             args, "\n") + "\n"
+            start_ns, start_on = _ns_grid(starts)
+            end_ns, end_on = _ns_grid(ends)
+            start_ms = _on_grid(start_ns / _NS_PER_MS, start_on,
+                                starts.__getitem__)
+            end_ms = _on_grid(end_ns / _NS_PER_MS, end_on, ends.__getitem__)
+            dur_ms = _on_grid((end_ns - start_ns) / _NS_PER_MS,
+                              start_on & end_on,
+                              lambda i: ends[i] - starts[i])
+            yield _rows_text(
+                _JSONL_HEAD,
+                tuple(map(_encoded, (names, categories, tracks, start_ms,
+                                     end_ms, dur_ms))),
+                args, "\n") + "\n"
 
     @gc_paused()
     def write_jsonl(self, path: Union[str, Path]) -> Path:

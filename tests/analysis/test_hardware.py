@@ -11,11 +11,13 @@ ladder the same way, on the run it already renders).  Fixtures live under
 only when a change is meant to move the paper's outputs.
 """
 
-from dataclasses import asdict, fields
+from dataclasses import asdict, fields, replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
+import repro.analysis.hardware as hardware
 from repro.analysis.hardware import (
     FIGURE3_LAYERS,
     figure3_layers,
@@ -27,6 +29,7 @@ from repro.analysis.hardware import (
 from repro.core.designer import uniform_assignment
 from repro.search import EvoSearchConfig
 from repro.models.specs import get_network_spec, resnet50_spec
+from repro.pim.lut import DEFAULT_LUT
 
 from tests.helpers import check_json_golden
 
@@ -109,6 +112,74 @@ class TestTable1Shape:
         mp = by_label(t1_rows, "EPIM-ResNet50", "W3mpA9")
         assert w5.xbars <= mp.xbars or mp.xbars <= w3.xbars * 1.5
         assert w5.cr < mp.cr < w3.cr
+
+
+class TestScaleFactors:
+    """What the two calibration factors of ``ComponentLUT`` move, on
+    Table 1's ResNet-50 rows (the ``-Opt`` rows search, so their designs
+    may change with the LUT; they are left out).  Doubling a float is
+    exact, so where a ratio does not depend on a factor it is bit-equal.
+    """
+
+    @staticmethod
+    def rows(lut):
+        """``(latency, energy)`` of each simulated row, baseline first."""
+        return [(row.latency_ms, row.energy_mj) for row in
+                table1_hardware_rows("resnet50", lut=lut,
+                                     include_opt_rows=False)
+                if row.latency_ms is not None]
+
+    @staticmethod
+    def ratios(rows, column):
+        return [row[column] / rows[0][column] for row in rows]
+
+    @pytest.fixture(scope="class")
+    def runs(self):
+        no_leak = replace(DEFAULT_LUT, p_leak_per_xbar_uw=0.0)
+        luts = {
+            "default": DEFAULT_LUT,
+            "2x latency": DEFAULT_LUT.scaled(
+                latency_scale=2 * DEFAULT_LUT.latency_scale),
+            "2x energy": DEFAULT_LUT.scaled(
+                energy_scale=2 * DEFAULT_LUT.energy_scale),
+            "no leak": no_leak,
+            "no leak, 2x latency": no_leak.scaled(
+                latency_scale=2 * no_leak.latency_scale),
+        }
+        # The PIM-Prune row has no latency or energy, and its seeded
+        # mask draw is most of a call's time: stand it in.
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(hardware, "pim_prune_network", lambda *args, **kw:
+                          SimpleNamespace(crossbar_compression=None))
+            return {name: self.rows(lut) for name, lut in luts.items()}
+
+    def test_latency_ratios_ignore_both_factors(self, runs):
+        assert len(runs["default"]) == 7    # FP32, EPIM FP32, W9/7/5/3mp/3
+        default = self.ratios(runs["default"], 0)
+        assert self.ratios(runs["2x latency"], 0) == default
+        assert self.ratios(runs["2x energy"], 0) == default
+
+    def test_energy_ratios_ignore_energy_scale(self, runs):
+        assert self.ratios(runs["2x energy"], 1) \
+            == self.ratios(runs["default"], 1)
+
+    def test_energy_ratios_move_with_latency_scale_through_leakage(
+            self, runs):
+        default = self.ratios(runs["default"], 1)
+        doubled = self.ratios(runs["2x latency"], 1)
+        assert default[2] == pytest.approx(0.0644, abs=5e-5)    # W9A9
+        assert doubled[2] == pytest.approx(0.0512, abs=5e-5)
+        # leakage is a larger share of the baseline's energy than of any
+        # EPIM row's, so doubling it lowers every EPIM row's ratio
+        assert all(d < r for d, r in zip(doubled[1:], default[1:]))
+        # without leakage, energy does not depend on latency_scale
+        assert runs["no leak, 2x latency"] == [
+            (2 * latency, energy) for latency, energy in runs["no leak"]]
+        # the doubled run's energy is dynamic energy plus twice the leakage
+        for (_, energy), (_, dynamic), (_, doubled_energy) in zip(
+                runs["default"], runs["no leak"], runs["2x latency"]):
+            assert doubled_energy == pytest.approx(
+                dynamic + 2 * (energy - dynamic), rel=1e-12)
 
 
 class TestMixedPrecisionMap:

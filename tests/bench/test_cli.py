@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from repro.analysis.cli import main as repro_main
-from repro.bench import cli as bench_cli
+from repro.bench import registry as bench_registry
 from repro.bench import runner as bench_runner
 from repro.bench.registry import BenchmarkRegistry, Workload, benchmark
 from repro.bench.results import BenchResult, BenchRun, write_run
@@ -117,7 +117,7 @@ def test_failing_gate_exits_1_naming_the_benchmark(tmp_path, monkeypatch,
             raise AssertionError("overhead 6.30% lies wholly above budget")
         return Workload(fn=fn)
 
-    for module in (bench_cli, bench_runner):
+    for module in (bench_registry, bench_runner):
         monkeypatch.setattr(module, "load_suites", lambda: registry)
     baseline = make_run_file(tmp_path, {"t.gate": 1.0}, "baseline.json")
     for extra in (["run", "--no-write"],

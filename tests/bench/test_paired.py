@@ -7,8 +7,8 @@ from math import comb
 
 import pytest
 
-from repro.bench import PairedTiming, gate, paired
-from repro.bench.paired import MIN_BLOCKS, collector_paused, interval_rank
+from repro.bench.paired import (MIN_BLOCKS, PairedTiming, collector_paused,
+                                gate, interval_rank, paired)
 
 paired_module = importlib.import_module("repro.bench.paired")
 

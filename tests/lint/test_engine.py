@@ -8,9 +8,10 @@ from pathlib import Path
 
 import pytest
 
-from repro.lint import Baseline, LintConfig, run_lint
+from repro.lint.baseline import Baseline
+from repro.lint.config import LintConfig
 from repro.lint.cli import add_lint_parser, run_lint_cli
-from repro.lint.engine import LintError
+from repro.lint.engine import LintError, run_lint
 from repro.lint.report import render
 
 REPO_ROOT = Path(__file__).resolve().parents[2]

@@ -9,7 +9,8 @@ import textwrap
 
 import pytest
 
-from repro.lint import LintConfig, run_lint
+from repro.lint.config import LintConfig
+from repro.lint.engine import run_lint
 
 
 def lint_source(tmp_path, source, relpath="src/pkg/serve/mod.py",

@@ -129,6 +129,33 @@ class TestObsSummarize:
         assert captured.err == (f"error: {metrics} line 2: expected a JSON "
                                 "object, got list\n")
 
+    def test_span_jsonl_exits_2(self, tmp_path, capsys):
+        """Span JSONL (``--trace-out x.jsonl``) is valid JSONL but no
+        metrics file: one ``error:`` line naming the file and the line,
+        nothing on stdout."""
+        spans = tmp_path / "spans.jsonl"
+        assert main(["serve", "--num-requests", "20", "--seed", "2",
+                     "--trace-out", str(spans)]) == 0
+        capsys.readouterr()
+        assert main(["obs", "validate", str(spans)]) == 0
+        capsys.readouterr()
+        assert main(["obs", "summarize", str(spans)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: {spans} line 1: 'type' must be "
+                                "counter, gauge or histogram, got None\n")
+
+    def test_a_line_of_another_type_exits_2(self, tmp_path, capsys):
+        metrics = tmp_path / "m.jsonl"
+        metrics.write_text('{"name": "a", "type": "gauge", "value": 1}\n'
+                           '{"name": "b", "type": "summary", "value": 2}\n')
+        assert main(["obs", "summarize", str(metrics)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: {metrics} line 2: 'type' must be "
+                                "counter, gauge or histogram, got "
+                                "'summary'\n")
+
     def test_histogram_without_quantile_object_renders(self, tmp_path,
                                                         capsys):
         metrics = tmp_path / "m.jsonl"

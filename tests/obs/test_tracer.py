@@ -1,6 +1,7 @@
 """Tests for the span tracer and its Chrome/JSONL exports."""
 
 import json
+import math
 import random
 
 import numpy as np
@@ -10,19 +11,52 @@ import repro.obs.tracer as tracer_module
 from repro.obs.tracer import NullTracer, Span, Tracer
 
 
+def ns_grid(ms):
+    """The 1 ns rule for one time: the whole nanoseconds of a finite
+    float whose ns value is below 2**53, else None (the time is written
+    as recorded)."""
+    if not isinstance(ms, float) or not math.isfinite(float(ms) * 1e6):
+        return None
+    ns = round(float(ms) * 1e6)
+    return ns if abs(ns) < 2 ** 53 else None
+
+
+def on_ns_grid(row: dict) -> dict:
+    """A span's JSONL row (``Span.as_dict()``) with the 1 ns rule
+    applied to its times: the row the export writes."""
+    start, end = ns_grid(row["start_ms"]), ns_grid(row["end_ms"])
+    row = dict(row)
+    if start is not None:
+        row["start_ms"] = start / 1e6
+    if end is not None:
+        row["end_ms"] = end / 1e6
+    if start is not None and end is not None:
+        row["dur_ms"] = (end - start) / 1e6
+    return row
+
+
+def chrome_times(span) -> tuple:
+    """A span's Chrome ``(ts, dur)`` in µs under the 1 ns rule."""
+    start, end = ns_grid(span.start_ms), ns_grid(span.end_ms)
+    ts = span.start_ms * 1000.0 if start is None else start / 1e3
+    dur = (span.duration_ms * 1000.0 if start is None or end is None
+           else (end - start) / 1e3)
+    return ts, dur
+
+
 def reference_chrome_trace(tracer):
     """Chrome export built the straightforward way: materialized
-    :class:`Span` objects sorted by a lambda key."""
+    :class:`Span` objects sorted by a lambda key, times put on the 1 ns
+    grid one by one with Python integers."""
     spans = tracer.spans
     tracks = sorted({span.track for span in spans})
     tids = {track: i for i, track in enumerate(tracks)}
     events = [{"name": "thread_name", "ph": "M", "pid": 0, "tid": tids[t],
                "args": {"name": t}} for t in tracks]
     for span in sorted(spans, key=lambda s: (s.start_ms, s.end_ms, s.name)):
+        ts, dur = chrome_times(span)
         event = {"name": span.name, "cat": span.category, "ph": "X",
-                 "ts": span.start_ms * 1000.0,
-                 "dur": span.duration_ms * 1000.0,
-                 "pid": 0, "tid": tids[span.track]}
+                 "ts": ts, "dur": dur, "pid": 0, "tid": tids[span.track]}
         if span.args:
             event["args"] = span.args
         events.append(event)
@@ -39,7 +73,7 @@ def reference_jsonl(tracer) -> bytes:
                "dur_ms": span.duration_ms}
         if span.args:
             row["args"] = span.args
-        lines.append(json.dumps(row) + "\n")
+        lines.append(json.dumps(on_ns_grid(row)) + "\n")
     return "".join(lines).encode("utf-8")
 
 
@@ -325,6 +359,28 @@ class TestExportsMatchReference:
         assert line == reference_jsonl(t).decode()
         assert json.loads(line.splitlines()[0])["name"] == "a, b"
 
+    def test_equal_names_of_other_types_keep_their_own_texts(self,
+                                                            tmp_path):
+        """``1``, ``1.0`` and ``True`` are equal, and so are ``0.0`` and
+        ``-0.0``; each is still written as itself."""
+        events = [(value, value, 0.5, 1.5, "main", None)
+                  for value in (1, 1.0, True, 0.0, -0.0)]
+        events.append(("1", "1", 2.5, 3.5, "1", None))
+        t = Tracer()
+        t.extend(events)
+        chrome = t.write_chrome_trace(tmp_path / "t.json").read_bytes()
+        assert chrome == (json.dumps(reference_chrome_trace(t)) + "\n"
+                          ).encode()
+        # JSONL does not sort the tracks, so they need not compare
+        t.record("x", "c", 2.5, 3.5, track=1.0)
+        jsonl = t.write_jsonl(tmp_path / "s.jsonl").read_bytes()
+        assert jsonl == reference_jsonl(t)
+        assert [line.split(b", ")[0] for line in jsonl.splitlines()] == [
+            b'{"name": 0.0', b'{"name": -0.0', b'{"name": 1',
+            b'{"name": 1.0', b'{"name": true', b'{"name": "1"',
+            b'{"name": "x"']
+        assert b'"track": 1.0' in jsonl
+
     def test_failed_export_removes_its_partial_file(self, tmp_path,
                                                     monkeypatch):
         monkeypatch.setattr(tracer_module, "_CHUNK_SPANS", 2)
@@ -368,6 +424,106 @@ class TestExportsMatchReference:
         assert "args" not in json.loads(lines[3])
 
 
+class TestNsGrid:
+    """The 1 ns rule on its edges, and on all-float columns (the case
+    every serve and search export is)."""
+
+    EDGE_MS = 9007199254.74099      # rint(ms * 1e6) == 2**53 - 2
+    PAST_EDGE_MS = 9007199254.740992    # rint(ms * 1e6) == 2**53
+    DAY_MS = 86_400_000.0
+
+    def export(self, tracer, tmp_path):
+        chrome = json.loads(
+            tracer.write_chrome_trace(tmp_path / "t.json").read_text())
+        lines = tracer.write_jsonl(tmp_path / "s.jsonl").read_text()
+        timed = [e for e in chrome["traceEvents"] if e["ph"] == "X"]
+        return timed, [json.loads(line) for line in lines.splitlines()]
+
+    def test_the_edge_values_are_what_the_tests_assume(self):
+        assert ns_grid(self.EDGE_MS) == 2 ** 53 - 2
+        assert ns_grid(self.PAST_EDGE_MS) is None
+        assert round(self.PAST_EDGE_MS * 1e6) == 2 ** 53
+
+    def test_a_time_at_the_2_53_ns_edge(self, tmp_path):
+        t = Tracer()
+        t.record("edge", "c", self.EDGE_MS, self.EDGE_MS)
+        t.record("past", "c", self.EDGE_MS, self.PAST_EDGE_MS)
+        (edge, past), (edge_row, past_row) = self.export(t, tmp_path)
+        assert edge["ts"] == (2 ** 53 - 2) / 1e3 and edge["dur"] == 0.0
+        assert edge_row["start_ms"] == edge_row["end_ms"] \
+            == (2 ** 53 - 2) / 1e6
+        assert edge_row["dur_ms"] == 0.0
+        # the end is past the edge: written as recorded, and so is the
+        # duration, while the start keeps the grid
+        assert past["ts"] == (2 ** 53 - 2) / 1e3
+        assert past["dur"] == (self.PAST_EDGE_MS - self.EDGE_MS) * 1000.0
+        assert past_row["start_ms"] == (2 ** 53 - 2) / 1e6
+        assert past_row["end_ms"] == self.PAST_EDGE_MS
+        assert past_row["dur_ms"] == self.PAST_EDGE_MS - self.EDGE_MS
+        assert t.spans[1].end_ms == self.PAST_EDGE_MS
+
+    def test_a_day_long_time_prints_in_14_digits(self, tmp_path):
+        start, end = self.DAY_MS + 0.123456789, self.DAY_MS + 0.987654321
+        t = Tracer()
+        t.record("day", "c", start, end)
+        chrome = t.write_chrome_trace(tmp_path / "t.json").read_text()
+        jsonl = t.write_jsonl(tmp_path / "s.jsonl").read_text()
+        assert '"ts": 86400000123.457, "dur": 864.197,' in chrome
+        assert ('"start_ms": 86400000.123457, "end_ms": 86400000.987654, '
+                '"dur_ms": 0.864197}') in jsonl
+        assert (t.spans[0].start_ms, t.spans[0].end_ms) == (start, end)
+
+    def test_float_columns_match_the_reference(self, tmp_path):
+        """All-float spans, noise and edges, NaN and inf included; odd
+        seeds mix in NumPy floats."""
+        edges = [self.EDGE_MS, self.PAST_EDGE_MS, -self.PAST_EDGE_MS,
+                 self.DAY_MS + 0.123456789, float("nan"), float("inf"),
+                 float("-inf"), -0.0, 0.0, -1e-7, 4e-7, 5e-7, 1.5e-6,
+                 2.5e-6, 1e300, -1e300, 0.1 + 0.2]
+        for seed in range(40):
+            rng = random.Random(seed)
+            numpy_rate = 0.1 if seed % 2 else 0.0
+
+            def time():
+                if rng.random() < 0.2:
+                    return rng.choice(edges)
+                value = rng.uniform(0.0, 10.0 ** rng.randint(-3, 9))
+                return (np.float64(value) if rng.random() < numpy_rate
+                        else value)
+
+            events = []
+            for _ in range(rng.randint(1, 40)):
+                start, end = sorted((time(), time()), key=float)
+                events.append((rng.choice(["request", "batch"]),
+                               rng.choice(["serve.request", "serve.batch"]),
+                               start, end, rng.choice(["requests", "r0"]),
+                               rng.choice([None, 3, {"k": 1}])))
+            tracers = [Tracer() for _ in range(2)]
+            for tracer in tracers:
+                tracer.extend(events)
+            chrome = tracers[0].write_chrome_trace(tmp_path / "t.json")
+            assert chrome.read_bytes() == (json.dumps(
+                reference_chrome_trace(tracers[1])) + "\n").encode(), seed
+            jsonl = tracers[0].write_jsonl(tmp_path / "s.jsonl")
+            assert jsonl.read_bytes() == reference_jsonl(tracers[1]), seed
+            assert [span.start_ms for span in tracers[0].spans] \
+                == [event[2] for event in events]
+
+    def test_the_two_files_agree_to_the_nanosecond(self, tmp_path):
+        rng = random.Random(11)
+        t = Tracer()
+        for _ in range(500):
+            start = rng.uniform(0.0, 1e8)
+            t.record("s", "c", start, start + rng.expovariate(1.0),
+                     track=rng.choice(["a", "b"]))
+        timed, rows = self.export(t, tmp_path)
+        assert len(timed) == len(rows) == 500
+        for event, row in zip(timed, rows):
+            assert round(event["ts"] * 1e3) == round(row["start_ms"] * 1e6)
+            assert round(event["dur"] * 1e3) == round(row["dur_ms"] * 1e6) \
+                == round(row["end_ms"] * 1e6) - round(row["start_ms"] * 1e6)
+
+
 class TestSpan:
     def test_as_dict_omits_empty_args(self):
         span = Span("n", "c", 0.0, 2.0)
@@ -376,7 +532,18 @@ class TestSpan:
         assert d["dur_ms"] == pytest.approx(2.0)
 
     def test_as_dict_is_the_jsonl_line(self, tmp_path):
+        """A JSONL line is ``as_dict()`` with its times on the 1 ns
+        grid; the span itself keeps full precision."""
         t = Tracer()
         t.record("n", "c", 1, 4.5, track="x", args={"k": 1})
-        line = t.write_jsonl(tmp_path / "s.jsonl").read_text()
-        assert line == json.dumps(t.spans[0].as_dict()) + "\n"
+        t.record("m", "c", 0.1 + 0.2, 4.5)
+        lines = t.write_jsonl(tmp_path / "s.jsonl").read_text().splitlines()
+        assert lines == [json.dumps(on_ns_grid(span.as_dict()))
+                         for span in reversed(t.spans)]
+        assert lines[0].startswith(
+            '{"name": "m", "cat": "c", "track": "main", "start_ms": 0.3, '
+            '"end_ms": 4.5, "dur_ms": 4.2}')
+        assert lines[1].startswith('{"name": "n", "cat": "c", "track": "x", '
+                                   '"start_ms": 1, "end_ms": 4.5, '
+                                   '"dur_ms": 3.5, ')
+        assert t.spans[1].as_dict()["start_ms"] == 0.1 + 0.2

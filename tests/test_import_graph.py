@@ -61,6 +61,16 @@ def test_entry_modules_do_not_load_the_training_stack():
     assert _banned(loaded) == []
 
 
+def test_the_cli_entry_does_not_load_the_bench_harness_or_the_linter():
+    """Every ``repro`` command builds the ``bench`` and ``lint``
+    parsers; the runner (and ``subprocess``) and the lint engine load
+    only when one of those commands runs."""
+    loaded = _loaded_after_import(["repro.analysis.cli"])
+    assert "repro.bench.cli" in loaded and "repro.lint.cli" in loaded
+    assert {"subprocess", "repro.bench.runner", "repro.lint.engine"} \
+        & loaded == set()
+
+
 def test_the_probe_sees_a_training_import():
     # The accuracy workbench trains models, so it must show up.
     loaded = _loaded_after_import(["repro.analysis.accuracy"])

@@ -274,6 +274,14 @@ REJECTS = [
     Reject("obs-summarize-non-object-line",
            ("obs", "summarize", "list.jsonl"), 2, (ERROR,),
            files={"list.jsonl": b"[1]\n"}),
+    # Span JSONL is valid JSONL; it read as one "?" metric per span.
+    Reject("obs-summarize-span-jsonl",
+           ("obs", "summarize", "spans.jsonl"), 2,
+           (r"^error: spans\.jsonl line 1: 'type' must be counter, gauge "
+            r"or histogram, got None$",),
+           files={"spans.jsonl": b'{"name": "request", "cat": '
+                  b'"serve.request", "track": "requests", "start_ms": 0.0, '
+                  b'"end_ms": 1.5, "dur_ms": 1.5, "args": {"id": 0}}\n'}),
     # A non-finite batching window would hold the last partial batch
     # forever; an infinite offered rate would put every arrival at 0.
     *(Reject(f"serve-{flag[2:]}-{value}",
