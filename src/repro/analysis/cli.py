@@ -38,8 +38,19 @@ from ..serve.cli import add_serve_parser, run_serve
 __all__ = ["main", "build_parser"]
 
 
+class _WholeNameParser(argparse.ArgumentParser):
+    """Matches options by their whole names only: by prefix, a mistyped
+    input flag reaches an output flag, and ``serve --trace t.json``
+    writes spans over ``t.json`` as ``--trace-out``.  ``add_subparsers``
+    builds each subcommand's parser with its parent's class, so this
+    reaches every one."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _WholeNameParser(
         prog="python -m repro",
         description="Regenerate the EPIM paper's tables and figures.")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -132,7 +132,7 @@ def _cmd_summarize(raw: str) -> int:
               "load it in Perfetto (https://ui.perfetto.dev)",
               file=sys.stderr)
         return 2
-    text = path.read_text()
+    text = path.read_bytes().decode("utf-8")
     if kind == "jsonl":
         try:
             rows = _rows_from_jsonl(text)

@@ -49,9 +49,10 @@ __all__ = [
 
 _PHASES_OK = {"X", "B", "E", "M", "i", "I", "C"}
 
-# JSON blanks within a line, and the decoder that parses a JSONL line.
+# JSON blanks within a line, and the C scanner behind ``json.loads``:
+# ``_SCAN(text, i)`` decodes the one value that starts at ``text[i]``.
 _BLANK = re.compile(r"[ \t\r]*").match
-_RAW_DECODE = json.JSONDecoder().raw_decode
+_SCAN = json.JSONDecoder().scan_once
 
 
 def _non_negative(value) -> Optional[float]:
@@ -289,29 +290,57 @@ def iter_jsonl(text: str) -> Iterator[Tuple[int, object]]:
     """``(lineno, value)`` for each line ``str.strip`` leaves non-empty:
     its JSON value, or a :class:`json.JSONDecodeError` with the message
     and position of the one ``json.loads`` raises for it (``nesting too
-    deep`` past the decoder's recursion limit).  The error is built
-    afresh: the raised one's traceback and context reach this
-    generator's frame, which would hold it in a reference cycle.  Lines
-    end at ``"\\n"`` only (a trailing ``"\\r"`` is tolerated): a U+2028
-    inside a JSON string is content."""
-    for lineno, line in enumerate(text.split("\n"), start=1):
-        start = _BLANK(line).end()
-        if start == len(line):
+    deep`` past the decoder's recursion limit, the interpreter's message
+    for an integer past its digit limit).  The error is built afresh:
+    the raised one's traceback and context reach this generator's frame,
+    which would hold it in a reference cycle.  Lines end at ``"\\n"``
+    only (a trailing ``"\\r"`` is tolerated): a U+2028 inside a JSON
+    string is content.
+
+    Each line is decoded where it sits in ``text``, with no copy, and
+    kept when its value ends at the line's ``"\\n"`` or only
+    ``[ \\t\\r]`` follows it.  Any other line is ``json.loads``-ed on
+    its own, and so is every line after it: a container left open reads
+    on through the lines that follow, so lines that each left one open
+    would each be scanned that far."""
+    size = len(text)
+    start = lineno = 0
+    in_place = True
+    while start <= size:
+        lineno += 1
+        stop = text.find("\n", start)
+        if stop < 0:
+            stop = size
+        first = start
+        if first < stop and text[first] in " \t\r":
+            first = _BLANK(text, first, stop).end()
+        if first == stop:
+            start = stop + 1
+            continue
+        if in_place:
+            try:
+                value, end = _SCAN(text, first)
+            except (StopIteration, ValueError, RecursionError):
+                end = size + 1
+            if end == stop or end < stop \
+                    and _BLANK(text, end, stop).end() == stop:
+                yield lineno, value
+                start = stop + 1
+                continue
+            in_place = False
+        line = text[start:stop]
+        first -= start          # from here on, an index into ``line``
+        start = stop + 1
+        if not line.strip():
             continue
         try:
-            value, end = _RAW_DECODE(line, start)
-            whole = _BLANK(line, end).end() == len(line)
-        except (json.JSONDecodeError, RecursionError):
-            whole = False
-        if not whole:
-            if not line.strip():
-                continue
-            try:
-                value = json.loads(line)
-            except json.JSONDecodeError as exc:
-                value = json.JSONDecodeError(exc.msg, line, exc.pos)
-            except RecursionError:
-                value = json.JSONDecodeError("nesting too deep", line, start)
+            value = json.loads(line)
+        except json.JSONDecodeError as exc:
+            value = json.JSONDecodeError(exc.msg, line, exc.pos)
+        except RecursionError:
+            value = json.JSONDecodeError("nesting too deep", line, first)
+        except ValueError as exc:       # an integer past the digit limit
+            value = json.JSONDecodeError(str(exc), line, first)
         yield lineno, value
 
 
@@ -339,9 +368,10 @@ def _sniff(path: Path, text: str) -> Tuple[str, object]:
     if text.lstrip().startswith(("{", "[")):
         try:
             return ("chrome-trace", json.loads(text))
-        except (json.JSONDecodeError, RecursionError):
-            # Many JSON objects on separate lines, or one nested too
-            # deep to parse: read it line by line as JSONL.
+        except (ValueError, RecursionError):
+            # Many JSON objects on separate lines, one nested too deep
+            # to parse, or an integer past the interpreter's digit
+            # limit: read it line by line as JSONL.
             return ("jsonl", None)
     return ("prometheus", None)
 
@@ -354,12 +384,13 @@ def sniff_format(path: Path, text: str) -> str:
 
 @gc_paused()
 def validate_file(path: Union[str, Path]) -> Tuple[str, List[str]]:
-    """Validate one artifact; returns ``(format, problems)``.  A file
-    that cannot be opened or decoded is ``unreadable``, a problem like
-    any other."""
+    """Validate one artifact; returns ``(format, problems)``.  The file
+    is decoded from UTF-8 with no newline translation, so its lines end
+    where they would in text.  A file that cannot be opened or decoded
+    is ``unreadable``, a problem like any other."""
     path = Path(path)
     try:
-        text = path.read_text()
+        text = path.read_bytes().decode("utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         return ("unreadable", [f"cannot read {path}: {exc}"])
     kind, payload = _sniff(path, text)

@@ -1,5 +1,6 @@
 """Tests for the command-line interface (repro.analysis.cli)."""
 
+import argparse
 import os
 import subprocess
 import sys
@@ -35,6 +36,27 @@ class TestParser:
     def test_rejects_unknown_model(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["table1", "--model", "vgg"])
+
+    def test_no_parser_matches_an_option_prefix(self):
+        parsers, seen = [build_parser()], []
+        while parsers:
+            parser = parsers.pop()
+            seen.append(parser.prog)
+            assert parser.allow_abbrev is False, parser.prog
+            for action in parser._actions:
+                if isinstance(action, argparse._SubParsersAction):
+                    parsers.extend(action.choices.values())
+        assert "python -m repro serve scenarios list" in seen
+
+    @pytest.mark.parametrize("flag", ["--trace", "--metrics", "--save",
+                                      "--export"])
+    def test_an_input_flag_typo_reaches_no_output_flag(self, flag, capsys):
+        """``--trace`` once parsed as ``--trace-out`` and overwrote the
+        file it named."""
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(["serve", flag, "t.json"])
+        assert exc.value.code == 2
+        assert "error:" in capsys.readouterr().err
 
 
 class TestExecution:

@@ -1,10 +1,13 @@
 """Tests for ``repro obs`` and the serve CLI's observability flags."""
 
 import json
+import sys
 
 import pytest
 
 from repro.analysis.cli import main
+
+INT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
 
 
 @pytest.fixture
@@ -106,6 +109,45 @@ class TestObsSummarize:
         out = capsys.readouterr().out
         assert "ok (jsonl)" in out
         assert "odd\u2028name" in out and "counter" in out
+
+    def test_a_bare_carriage_return_ends_no_line(self, tmp_path, capsys):
+        """Files are read as UTF-8 bytes, so "\\r" is no line break."""
+        metrics = tmp_path / "m.jsonl"
+        metrics.write_bytes(b'{"name": "a", "type": "counter", "value": 1}'
+                            b'\r{"name": "b", "type": "gauge", "value": 2}\n')
+        assert main(["obs", "summarize", str(metrics)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: {metrics} failed validation (jsonl): "
+                                "line 1: not valid JSON (Extra data)\n")
+
+    @pytest.mark.parametrize("name, data", [
+        ("m.prom", b"# TYPE c counter\r\nc 3\r\n"),
+        ("m.prom", b"# HELP c odd\rhelp\n# TYPE c counter\nc 3\n"),
+        ("m.jsonl", b'{"name": "c",\r"type": "counter", "value": 3}\n'),
+    ])
+    def test_lines_render_as_validate_reads_them(self, tmp_path, capsys,
+                                                 name, data):
+        """CRLF line ends are tolerated; a bare "\\r" is help text or
+        JSON blank space, as it is to the validator."""
+        metrics = tmp_path / name
+        metrics.write_bytes(data)
+        assert main(["obs", "summarize", str(metrics)]) == 0
+        assert capsys.readouterr().out.splitlines()[-1].split() \
+            == ["c", "counter", "3"]
+
+    @pytest.mark.skipif(INT_LIMIT == 0, reason="integer digit limit is off")
+    def test_integer_past_the_digit_limit_exits_2(self, tmp_path, capsys):
+        metrics = tmp_path / "m.jsonl"
+        digits = "9" * (INT_LIMIT + 1)
+        metrics.write_text(f'{{"name": "a", "type": "counter", '
+                           f'"value": {digits}}}\n')
+        assert main(["obs", "summarize", str(metrics)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(
+            f"error: {metrics} failed validation (jsonl): line 1: not valid "
+            "JSON (Exceeds the limit")
 
     def test_nesting_too_deep_exits_2(self, tmp_path, capsys):
         metrics = tmp_path / "m.jsonl"

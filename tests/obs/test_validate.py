@@ -2,9 +2,12 @@
 
 import json
 import random
+import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from repro.obs import validate
 from repro.obs.export import prometheus_text
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracer import Tracer
@@ -19,25 +22,54 @@ from repro.obs.validate import (
 )
 
 
-def reference_validate_jsonl(text):
+def reference_iter_jsonl(text):
     """The line-by-line JSONL rule: split at "\\n", skip lines
-    ``str.strip`` empties, ``json.loads`` each of the others."""
-    problems = []
-    seen = 0
+    ``str.strip`` empties, ``json.loads`` each of the others.  An error
+    is a ``JSONDecodeError``.  ``json.loads`` gives no position for
+    nesting too deep or an integer past the digit limit; those errors
+    sit at the line's first character that is not a JSON blank."""
     for lineno, line in enumerate(text.split("\n"), start=1):
         if not line.strip():
             continue
-        seen += 1
+        first = len(line) - len(line.lstrip(" \t\r"))
         try:
-            json.loads(line)
+            value = json.loads(line)
         except json.JSONDecodeError as exc:
-            problems.append(f"line {lineno}: not valid JSON ({exc.msg})")
+            value = json.JSONDecodeError(exc.msg, line, exc.pos)
         except RecursionError:
-            problems.append(f"line {lineno}: not valid JSON (nesting too "
-                            "deep)")
-    if seen == 0:
-        problems.append("no JSON lines found")
-    return problems
+            value = json.JSONDecodeError("nesting too deep", line, first)
+        except ValueError as exc:
+            value = json.JSONDecodeError(str(exc), line, first)
+        yield lineno, value
+
+
+def reference_validate_jsonl(text):
+    rows = list(reference_iter_jsonl(text))
+    if not rows:
+        return ["no JSON lines found"]
+    return [f"line {lineno}: not valid JSON ({value.msg})"
+            for lineno, value in rows
+            if isinstance(value, json.JSONDecodeError)]
+
+
+def jsonl_rows(rows):
+    """Comparable ``(lineno, ...)`` rows: an error by its message and
+    position, a value by its ``repr`` (``1`` is not ``1.0``, NaN is
+    itself)."""
+    return [(lineno, value.msg, value.pos)
+            if isinstance(value, json.JSONDecodeError)
+            else (lineno, repr(value)) for lineno, value in rows]
+
+
+def validate_text(path, text):
+    """``(format, problems)`` of ``text`` by the validator its sniffed
+    format names."""
+    kind = sniff_format(path, text)
+    if kind == "chrome-trace":
+        return kind, validate_chrome_trace(json.loads(text))
+    if kind == "jsonl":
+        return kind, validate_jsonl(text)
+    return kind, validate_prometheus(text)
 
 
 def reference_validate_chrome_trace(payload):
@@ -139,6 +171,42 @@ _PHASES = ["X", "X", "X", "B", "E", "M", "i", "C", "Q", "", None, ["X"],
 # event in ten draws one; the rest keep to two tracks (no pid, tid 0 or
 # 1), so that ts order and B/E nesting are compared often.
 _ODD_TRACK_IDS = ["p", None, 2, [1], [], {"id": 0}, {}]
+
+# The interpreter's limit on the digits of an integer literal (0 when
+# it is off or predates the limit), and literals one digit past it.
+INT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+needs_int_limit = pytest.mark.skipif(
+    INT_LIMIT == 0, reason="integer digit limit is off")
+_OVER_LIMIT = ["9" * (INT_LIMIT + 1),
+               '{"n": -' + "1" * (INT_LIMIT + 1) + "}"] if INT_LIMIT else []
+
+# Parts of one JSONL line, up to three to a line: values, brackets that
+# a parse across lines would rebalance ("[[3", "1],[2", "4]]"), blanks
+# JSON skips and blanks only str.strip skips, trailing junk, nesting
+# past the decoder's recursion limit and over-limit integers.
+_LINE_PARTS = ['{"a": 1}', '[1, {"b": null}]', '"x\u2028y"', "7", "-0.5e3",
+               "true", "NaN", "[1,", "2]", "1],[2", "[[3", "4]]", "", " ",
+               "\t", "\r", "\x0b", "\xa0", " x", "]", "[" * 5000,
+               *_OVER_LIMIT]
+_jsonl_lines = st.lists(st.sampled_from(_LINE_PARTS), min_size=1,
+                        max_size=3).map("".join)
+jsonl_texts = st.builds(
+    lambda lines, last: "".join(line + end for line, end in lines) + last,
+    st.lists(st.tuples(_jsonl_lines, st.sampled_from(["\n", "\r\n"])),
+             max_size=10),
+    st.one_of(st.just(""), _jsonl_lines))
+
+# Parts of an artifact file's bytes: Chrome-trace, JSONL and Prometheus
+# pieces, every line ending, blanks, a BOM and bytes that are not UTF-8.
+_FILE_PARTS = [b'{"a": 1}', b'{"traceEvents": [', b"]}", b",",
+               b'{"ph": "X", "ts": 1.5, "dur": 0.5, "name": "a"}', b"[1,",
+               b"2]", b"# TYPE c counter", b"# HELP c x", b"c 1",
+               b"# TYPE h histogram", b'h_bucket{le="+Inf"} 1', b"h_count 1",
+               b"\n", b"\n", b"\r\n", b"\r", b" ", b"\x0b", b"\xc2\xa0",
+               b"\xe2\x80\xa8", b"\xef\xbb\xbf", b"\xff", b"\xc3"]
+file_bytes = st.one_of(
+    st.binary(max_size=40),
+    st.lists(st.sampled_from(_FILE_PARTS), max_size=14).map(b"".join))
 
 
 def _random_jsonl(rng):
@@ -389,6 +457,9 @@ class TestJsonl:
                         "(decode using utf-8-sig))"]),
         ("\x0c\n{}\n", []),
         ("{} \t\r\n", []),
+        ("[[3\n4]]\n", ["line 1: not valid JSON (Expecting ',' delimiter)",
+                        "line 2: not valid JSON (Extra data)"]),
+        ("1],[2\n", ["line 1: not valid JSON (Extra data)"]),
     ])
     def test_fragments(self, text, problems):
         assert validate_jsonl(text) == problems \
@@ -420,6 +491,64 @@ class TestJsonl:
         assert rows[0][1] == {"a": 1} and rows[1][1] == [2]
         assert isinstance(rows[2][1], json.JSONDecodeError)
         assert rows[3][1] == {"b": 3}
+
+    @settings(max_examples=400, deadline=None)
+    @given(text=jsonl_texts)
+    def test_lines_match_json_loads_per_line(self, text):
+        assert jsonl_rows(iter_jsonl(text)) \
+            == jsonl_rows(reference_iter_jsonl(text))
+        assert validate_jsonl(text) == reference_validate_jsonl(text)
+
+    def test_lines_after_an_unaccepted_one_are_decoded_alone(
+            self, monkeypatch):
+        """A line left open is scanned on through the lines after it;
+        from then on no line is scanned in place, so lines that each
+        leave one open cost one scan each, not one per line after."""
+        starts = []
+        scan = validate._SCAN
+
+        def counted(text, index):
+            starts.append(index)
+            return scan(text, index)
+
+        monkeypatch.setattr(validate, "_SCAN", counted)
+        text = '{"a": 1}\n' + "[1,\n" * 50 + '{"b": 2}\n'
+        assert jsonl_rows(iter_jsonl(text)) \
+            == jsonl_rows(reference_iter_jsonl(text))
+        assert starts == [0, 9]
+
+
+@needs_int_limit
+class TestIntegerDigitLimit:
+    """An integer literal past ``sys.get_int_max_str_digits()`` is a
+    line that is not valid JSON, not a crash."""
+
+    DIGITS = "9" * (INT_LIMIT + 1)
+
+    def message(self):
+        with pytest.raises(ValueError) as exc:
+            int(self.DIGITS)
+        return str(exc.value)
+
+    def test_jsonl_line(self):
+        text = f'{{"a": 1}}\n  {{"n": {self.DIGITS}}}\n'
+        assert validate_jsonl(text) == reference_validate_jsonl(text) \
+            == [f"line 2: not valid JSON ({self.message()})"]
+        (_, value), = [row for row in iter_jsonl(text) if row[0] == 2]
+        assert (value.msg, value.pos) == (self.message(), 2)
+
+    @pytest.mark.parametrize("name", ["t.json", "m.jsonl"])
+    def test_file(self, tmp_path, name):
+        path = tmp_path / name
+        path.write_text('{"traceEvents": [{"ph": "X", "ts": 1.0, "dur": '
+                        f'1.0, "name": "a", "pid": {self.DIGITS}}}]}}\n')
+        assert validate_file(path) \
+            == ("jsonl", [f"line 1: not valid JSON ({self.message()})"])
+
+
+@pytest.fixture(scope="module")
+def files_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("files")
 
 
 class TestSniffAndFile:
@@ -461,3 +590,38 @@ class TestSniffAndFile:
         assert len(problems) == 1
         assert problems[0].startswith(f"cannot read {path}: ")
         assert "can't decode byte 0xff" in problems[0]
+
+    @pytest.mark.parametrize("name, data, expected", [
+        # a bare "\r" ends no line
+        ("m.jsonl", b'{"a": 1}\r{"b": 2}',
+         ("jsonl", ["line 1: not valid JSON (Extra data)"])),
+        ("m.prom", b"# HELP c x\r# TYPE c counter\rc 1\r",
+         ("prometheus", ["no samples found"])),
+        ("m.jsonl", b'{"a": 1}\r\n\r\n{"b": 2}\r\n', ("jsonl", [])),
+        ("m.prom", b"# TYPE c counter\r\nc 1\r\n", ("prometheus", [])),
+        ("t.json", b'{"traceEvents": [\r\n{"ph": "X", "ts": 1.0, "dur": '
+                   b'1.0, "name": "a"}]}\r\n', ("chrome-trace", [])),
+        # what --metrics-out m.json writes
+        ("m.json", b"# TYPE c counter\nc 1\n", ("prometheus", [])),
+    ])
+    def test_files_read_as_utf8_with_newline_line_ends(self, tmp_path, name,
+                                                       data, expected):
+        path = tmp_path / name
+        path.write_bytes(data)
+        assert validate_file(path) == expected \
+            == validate_text(path, data.decode("utf-8"))
+
+    @settings(max_examples=400, deadline=None)
+    @given(data=file_bytes,
+           suffix=st.sampled_from([".json", ".jsonl", ".prom", ""]))
+    def test_file_matches_its_text(self, files_dir, data, suffix):
+        path = files_dir / f"artifact{suffix}"
+        path.write_bytes(data)
+        try:
+            text = data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            expected = ("unreadable", [f"cannot read {path}: {exc}"])
+        else:
+            expected = validate_text(path, text)
+        assert validate_file(path) == expected
+

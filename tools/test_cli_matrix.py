@@ -30,8 +30,9 @@ every artifact; and the cell's own check holds.
   artifacts are validated and summarized (``docs/resilience.md``).
 
 ``REJECTS`` is the CLI's input-reject table: each row's bad input exits
-with the row's status and prints the row's lines, and no command prints
-a traceback. A CLI-facing input fix adds a row here.
+with the row's status and prints the row's lines, leaves the files it
+was given as they were, and no command prints a traceback. A CLI-facing
+input fix adds a row here.
 """
 
 from __future__ import annotations
@@ -230,7 +231,8 @@ def test_cell(cell: Cell, tmp_path_factory):
 
 @dataclass(frozen=True)
 class Reject:
-    """Bad input: exit ``status``, and each pattern matches a line."""
+    """Bad input: exit ``status``, each pattern matches a line, and each
+    of ``files`` still holds the bytes written to it before the run."""
 
     id: str
     argv: Tuple[str, ...]
@@ -244,6 +246,12 @@ class Reject:
 ERROR = r"^error: "
 # Nested past the JSON decoder's recursion limit.
 DEEP = {"deep.json": b"[" * 200_000 + b"\n"}
+# An integer literal one digit past the interpreter's limit, which the
+# commands inherit through the environment.
+INT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+OVER_LIMIT = b"9" * (INT_LIMIT + 1)
+needs_int_limit = pytest.mark.skipif(INT_LIMIT == 0,
+                                     reason="integer digit limit is off")
 
 REJECTS = [
     # Two requests sharing an id would share one retry-once slot on
@@ -271,6 +279,37 @@ REJECTS = [
            files={"bom.json": b"\xff\xfe{}",
                   "ok.jsonl": b'{"name": "a", "type": "counter", '
                               b'"value": 1}\n'}),
+    # An over-limit integer raised ValueError past the JSON error
+    # handlers; a .json file falls back to line-by-line reading.
+    pytest.param(Reject(
+        "obs-validate-over-limit-integer",
+        ("obs", "validate", "big.jsonl", "big.json"), 1,
+        stdout=(r"^big\.jsonl: INVALID \(jsonl\)",
+                r"^  - line 2: not valid JSON \(Exceeds the limit",
+                r"^big\.json: INVALID \(jsonl\)",
+                r"^  - line 1: not valid JSON \(Exceeds the limit"),
+        files={"big.jsonl": b'{"a": 1}\n{"n": ' + OVER_LIMIT + b"}\n",
+               "big.json": b'{"traceEvents": [{"ph": "X", "ts": 1.0, '
+                           b'"dur": 1.0, "name": "a", "pid": ' + OVER_LIMIT
+                           + b"}]}\n"}), marks=needs_int_limit),
+    pytest.param(Reject(
+        "obs-summarize-over-limit-integer",
+        ("obs", "summarize", "big.jsonl"), 2,
+        (r"^error: big\.jsonl failed validation \(jsonl\): line 1: not "
+         r"valid JSON \(Exceeds the limit",),
+        files={"big.jsonl": b'{"name": "a", "type": "counter", "value": '
+                            + OVER_LIMIT + b"}\n"}), marks=needs_int_limit),
+    # A mistyped input flag once matched an output flag by prefix:
+    # `--trace` wrote spans over the file as `--trace-out`. `serve`
+    # takes a subcommand, so argparse reports the stray value.
+    Reject("serve-trace-is-no-trace-out", ("serve", "--trace", "t.json"), 2,
+           (r"error: argument \{scenarios,chaos\}: invalid choice: "
+            r"'t\.json'",),
+           files={"t.json": b'{"requests": [{"id": 0, "arrival_ms": '
+                  b'0.0}]}\n'}),
+    Reject("search-trace-is-no-trace-out", ("search", "--trace", "t.json"), 2,
+           (r"error: unrecognized arguments: --trace t\.json$",),
+           files={"t.json": b"{}\n"}),
     Reject("obs-summarize-non-object-line",
            ("obs", "summarize", "list.jsonl"), 2, (ERROR,),
            files={"list.jsonl": b"[1]\n"}),
@@ -336,3 +375,6 @@ def test_reject(row: Reject, tmp_path_factory):
             assert re.search(pattern, stream, re.MULTILINE), (
                 f"no line matches {pattern!r}\n{describe(result)}")
     assert "Traceback" not in result.stdout + result.stderr, describe(result)
+    for name, content in row.files.items():
+        assert (cwd / name).read_bytes() == content, (
+            f"{name} was rewritten\n{describe(result)}")
